@@ -29,7 +29,14 @@ from .data import (
     synth_digits,
 )
 from .nn import Gradients, MlpModel, SgdState, forward, init_model
-from .oracles import AttackReport, binomial_tail, grid_attack, jacobi_eigs, mc_correlation
+from .oracles import (
+    AttackReport,
+    binomial_tail,
+    grid_attack,
+    jacobi_eigs,
+    mc_correlation,
+    reference_votes,
+)
 from .rng import stream
 from .sigma_select import SigmaSearchConfig, SigmaSearchResult, select_sigma
 from .smoothing import (
@@ -105,6 +112,7 @@ __all__ = [
     "mc_correlation",
     "phi",
     "psi",
+    "reference_votes",
     "regularizer_and_gradient",
     "sample_under_noise",
     "save_checkpoint",

@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincinv
 
 logger = logging.getLogger(__name__)
 
@@ -49,31 +49,15 @@ def chi2_cdf(x: float, d: int) -> float:
     return float(gammainc(0.5 * d, 0.5 * x))
 
 
-def tau_solve(d: int, tol: float = 0.0) -> float:
-    """The point tau with chi2_cdf(tau, d) = sqrt(2)/2, by bisection.
+def tau_solve(d: int) -> float:
+    """The point tau with chi2_cdf(tau, d) = sqrt(2)/2.
 
-    By default bisects until the bracket collapses to floating-point
-    resolution (a few ulps), which pins tau itself to near machine relative
-    accuracy.  A positive ``tol`` permits early exit once the CDF residual
-    falls to ``tol`` or below, trading accuracy for fewer CDF evaluations.
+    Closed form 2 * P^-1(d/2, sqrt(2)/2) through the inverse regularized
+    lower incomplete gamma, accurate to a few ulps.
     """
     if d < 1 or d != int(d):
         raise ValueError("degrees of freedom must be a positive integer")
-    if tol < 0.0 or not math.isfinite(tol):
-        raise ValueError("tol must be finite and non-negative")
-    lo, hi = 0.0, float(max(d, 1))
-    while chi2_cdf(hi, d) < _TARGET:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = chi2_cdf(mid, d) - _TARGET
-        if (tol > 0.0 and abs(r) <= tol) or (hi - lo) <= 4.0 * math.ulp(mid):
-            return mid
-        if r > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(2.0 * gammaincinv(0.5 * d, _TARGET))
 
 
 def _check_positive(**kwargs: float) -> None:
@@ -242,21 +226,8 @@ class BoundReport:
     eps_x: float | None
     inputs: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "psi": self.psi,
-            "phi": self.phi,
-            "kl_term": self.kl_term,
-            "empirical_margin_loss": self.empirical_margin_loss,
-            "bound_value": self.bound_value,
-            "vacuous": self.vacuous,
-            "eps_x": self.eps_x,
-            "inputs": self.inputs,
-        }
-
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
 def evaluate_bound(
@@ -291,15 +262,5 @@ def evaluate_bound(
         bound_value=bound,
         vacuous=bound >= 1.0,
         eps_x=eps,
-        inputs={
-            "gamma": inputs.gamma,
-            "delta": inputs.delta,
-            "m": inputs.m,
-            "B": inputs.B,
-            "n": inputs.n,
-            "h": inputs.h,
-            "d": inputs.d,
-            "per_layer_spectral": list(inputs.per_layer_spectral),
-            "per_layer_frobenius": list(inputs.per_layer_frobenius),
-        },
+        inputs={k: list(v) if isinstance(v, tuple) else v for k, v in asdict(inputs).items()},
     )

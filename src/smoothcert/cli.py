@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -241,12 +242,7 @@ def _cmd_train(cfg: dict) -> int:
     model, metrics = train(model, X, ds.labels, tc)
     meta = {
         "k": ds.k, "input_dim_raw": ds.d, "augmented": True, "dataset": ds.name,
-        "train_config": {
-            "epochs": tc.epochs, "batch_size": tc.batch_size, "lr": tc.lr,
-            "lr_drops": [list(drop) for drop in tc.lr_drops], "momentum": tc.momentum,
-            "weight_decay": tc.weight_decay, "noise_variance": tc.noise_variance,
-            "alpha": tc.alpha, "seed": tc.seed,
-        },
+        "train_config": asdict(tc),  # JSON writes the lr_drops tuples as arrays
     }
     data.save_checkpoint(out / "checkpoint.smcert", model, meta)
     _write_csv(out / "metrics.csv", METRICS_HEADER,
@@ -283,12 +279,6 @@ def _cmd_sigma(cfg: dict) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _CertRow:
-    predicted: int
-    radius: float
-
-
 _WORKER: dict = {}
 
 
@@ -318,7 +308,7 @@ def _cmd_certify(cfg: dict) -> int:
     noise = NoiseConfig(
         sigma_input=float(np.sqrt(cfg["sigma2"])),
         sigma_weight=None if sigma_w is None else float(np.sqrt(sigma_w)),
-        base_seed=cfg["seed"], weight_mode=cfg["weight_mode"], cache_size=cfg["cache_size"],
+        base_seed=cfg["seed"],
     )
     payload = {"model": model, "X": X, "noise": noise,
                "n0": cfg["n0"], "n": cfg["n"], "alpha": cfg["alpha"]}
@@ -339,14 +329,14 @@ def _cmd_certify(cfg: dict) -> int:
     ])
     steps = int(round(cfg["radius_max"] / cfg["radius_step"]))
     radii = [i * cfg["radius_step"] for i in range(steps + 1)]
-    results = [_CertRow(pred, rad) for _, pred, _, rad in rows]
-    accs = smoothing.certified_accuracy_curve(results, labels, radii)
+    _, predicted, _, radius = zip(*rows)
+    accs = smoothing.certified_accuracy_curve(predicted, radius, labels, radii)
     curve = list(zip(radii, (float(a) for a in accs)))
     _write_csv(out / "curve.csv", CURVE_HEADER, curve)
     plot.emit_plot(out / "curve.svg", {"certified accuracy": curve},
                    title="Certified accuracy", x_label="radius", y_label="accuracy")
     _write_config(out, "certify", cfg)
-    n_abstain = sum(1 for _, pred, _, _ in rows if pred == ABSTAIN)
+    n_abstain = predicted.count(ABSTAIN)
     print(f"certified {ds.m} samples: accuracy at r=0 is {accs[0]:.4f}, "
           f"{n_abstain} abstentions")
     return 0
@@ -443,9 +433,7 @@ def _cmd_report(cfg: dict) -> int:
         sp = extras[name].get("spectral.json")
         if sp is None:
             continue
-        cos = np.asarray(sp["cosine_matrix"])
-        k = cos.shape[0]
-        off = float(np.abs(cos[~np.eye(k, dtype=bool)]).mean()) if k > 1 else 0.0
+        off = spectral.mean_abs_offdiag(sp["cosine_matrix"])
         sg = extras[name].get("sigma.json", {})
         spectral_rows.append((name, sp["collapsed_spectral"], sp["product_spectral"],
                               sp["gershgorin"], off, sg.get("sigma2", "")))
@@ -510,9 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.opt("--n0", default=100, type=int, help="selection votes per sample")
     c.opt("--n", default=100000, type=int, help="estimation votes per sample")
     c.opt("--alpha", default=0.001, type=float, help="confidence bound failure probability")
-    c.opt("--weight-mode", default="projected", type=str,
-          choices=["projected", "matrix", "cache"], help="weight-noise sampling mode")
-    c.opt("--cache-size", default=0, type=int, help="cache mode: number of pre-drawn noises")
     c.opt("--workers", default=1, type=int, help="parallel certification workers")
     c.opt("--radius-max", default=2.0, type=float, help="curve grid maximum radius")
     c.opt("--radius-step", default=0.01, type=float, help="curve grid step")
@@ -561,6 +546,10 @@ def main(argv=None) -> int:
         if cfg.get(key) is None:
             cmd.parser.error(f"--{key.replace('_', '-')} is required "
                              f"(flag or config file)")
+    if cmd.name == "certify" and not (0.0 < cfg["radius_step"] < math.inf
+                                      and 0.0 <= cfg["radius_max"] < math.inf):
+        cmd.parser.error("--radius-step must be positive and --radius-max non-negative, "
+                         "both finite")
     if bool(cfg.get("images")) != bool(cfg.get("labels")):
         cmd.parser.error("--images and --labels must be supplied together")
     for key in ("images", "labels", "checkpoint"):

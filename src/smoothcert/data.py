@@ -215,7 +215,7 @@ def save_checkpoint(path, model: MlpModel, meta: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
     """Read a checkpoint back, bit-exactly; rejects bad magic, future
-    versions, dim mismatches and trailing garbage."""
+    versions, dim mismatches, non-finite weights and trailing garbage."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -239,7 +239,10 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
         for i in range(len(dims) - 1):
             n = dims[i + 1] * dims[i]
             raw = _read_exact(f, n * 8, f"layer {i}")
-            layers.append(np.frombuffer(raw, dtype="<f8").reshape(dims[i + 1], dims[i]))
+            layer = np.frombuffer(raw, dtype="<f8").reshape(dims[i + 1], dims[i])
+            if not np.isfinite(layer).all():
+                raise ValueError(f"non-finite weights in layer {i}")
+            layers.append(layer)
         if f.read(1):
             raise ValueError("trailing bytes after the last layer")
     return MlpModel(tuple(layers)), header.get("meta", {})

@@ -1,4 +1,4 @@
-"""Dense ReLU multi-layer perceptron: forward, reverse-mode gradients, SGD.
+"""Dense ReLU multi-layer perceptron: forward, batch gradients, SGD.
 
 All arrays are 64-bit floats.  A model is an immutable stack of weight
 matrices; layer ``i`` maps ``dims[i] -> dims[i+1]`` and every layer except
@@ -131,19 +131,6 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def forward_with_cache(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Logits plus the cache backward() needs, for a single input vector."""
-    z = _check_input(model, x, batched=False)
-    inputs, preacts = [], []
-    last = model.n_layers - 1
-    for i, w in enumerate(model.layers):
-        inputs.append(z)
-        a = w @ z
-        preacts.append(a)
-        z = np.maximum(a, 0.0) if i != last else a
-    return z, ForwardCache(tuple(inputs), tuple(preacts))
-
-
 def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Logits (m, k) plus cache for a batch of row-vector inputs (m, d)."""
     Z = _check_input(model, X, batched=True)
@@ -157,30 +144,12 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardCa
     return Z, ForwardCache(tuple(inputs), tuple(preacts))
 
 
-def _check_cache(model: MlpModel, cache: ForwardCache) -> None:
-    if not isinstance(cache, ForwardCache):
-        raise ValueError("backward requires the ForwardCache from a cached forward pass")
-    if len(cache.inputs) != model.n_layers or len(cache.preacts) != model.n_layers:
-        raise ValueError("forward cache does not match the model's layer count")
-
-
-def backward(model: MlpModel, cache: ForwardCache, upstream: np.ndarray) -> Gradients:
-    """Gradients of <upstream, logits> w.r.t. every weight matrix (single input)."""
-    _check_cache(model, cache)
-    delta = np.asarray(upstream, dtype=np.float64)
-    if delta.shape != (model.out_dim,):
-        raise ValueError(f"upstream shape {delta.shape} != ({model.out_dim},)")
-    grads: list[Matrix] = [None] * model.n_layers  # type: ignore[list-item]
-    for i in range(model.n_layers - 1, -1, -1):
-        grads[i] = np.outer(delta, cache.inputs[i])
-        if i > 0:
-            delta = (model.layers[i].T @ delta) * (cache.preacts[i - 1] > 0.0)
-    return Gradients(tuple(grads))
-
-
 def backward_batch(model: MlpModel, cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     """Gradients of sum_r <upstream[r], logits[r]> over a batch (summed)."""
-    _check_cache(model, cache)
+    if not isinstance(cache, ForwardCache):
+        raise ValueError("backward_batch requires the ForwardCache from forward_batch")
+    if len(cache.inputs) != model.n_layers or len(cache.preacts) != model.n_layers:
+        raise ValueError("forward cache does not match the model's layer count")
     delta = np.asarray(upstream, dtype=np.float64)
     if delta.ndim != 2 or delta.shape[1] != model.out_dim:
         raise ValueError(f"upstream shape {delta.shape} incompatible with batch backward")
@@ -190,26 +159,6 @@ def backward_batch(model: MlpModel, cache: ForwardCache, upstream: np.ndarray) -
         if i > 0:
             delta = (delta @ model.layers[i]) * (cache.preacts[i - 1] > 0.0)
     return Gradients(tuple(grads))
-
-
-def cross_entropy_loss(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy and its logit gradient for one example.
-
-    Computed via a max-shifted log-sum-exp, so the result is finite for any
-    finite logits.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("logits must be a vector")
-    if not 0 <= label < z.shape[0]:
-        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
-    m = z.max()
-    exps = np.exp(z - m)
-    total = exps.sum()
-    loss = float(np.log(total) + m - z[label])
-    grad = exps / total
-    grad[label] -= 1.0
-    return loss, grad
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -5,22 +5,23 @@ Nothing here shares numeric kernels with the modules it checks beyond the
 plain float64 array type: eigenvalues come from classical Jacobi rotations
 (not power iteration), binomial tails from exact extended-precision
 summation (not the incomplete beta), output correlations from Monte-Carlo
-sampling (not the analytic cosine identity), and certified radii are probed
-by exhaustively re-voting on a perturbation grid.
+sampling (not the analytic cosine identity), votes from a fresh full
+weight-noise matrix per draw (not the projected sampler), and certified radii
+are probed by exhaustively re-voting on a perturbation grid.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import mpmath as mp
 import numpy as np
 
 from . import rng
 from .nn import MlpModel, Matrix, _as_f64
-from .smoothing import NoiseConfig, majority_vote_predict
+from .smoothing import NoiseConfig, VoteCounts, majority_vote_predict
 
 
 def jacobi_eigs(sym: Matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
@@ -85,6 +86,32 @@ def binomial_tail(k: int, n: int, p: float) -> float:
         return float(total)
 
 
+def reference_votes(
+    model: MlpModel, x, num: int, noise: NoiseConfig, g: np.random.Generator
+) -> VoteCounts:
+    """Vote tally drawn the literal way, one vote at a time.
+
+    Each vote perturbs the input with fresh ``N(0, sigma_input^2 I)`` noise
+    and every weight matrix with a fresh full ``N(0, sigma_weight^2)``
+    matrix, then takes the argmax (ties to the lowest index) of the
+    perturbed network.  Slow, but it draws from the distribution that the
+    projected sampler in ``smoothing`` claims to reproduce.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.in_dim,):
+        raise ValueError(f"x must have shape ({model.in_dim},)")
+    si, sw = noise.sigma_input, noise.resolved_sigma_weight
+    counts = [0] * model.out_dim
+    for _ in range(num):
+        z = x + si * g.standard_normal(x.shape)
+        for i, w in enumerate(model.layers):
+            z = (w + sw * g.standard_normal(w.shape)) @ z
+            if i < model.n_layers - 1:
+                z = np.maximum(z, 0.0)
+        counts[int(np.argmax(z))] += 1
+    return VoteCounts(counts=tuple(counts), draws=num)
+
+
 def mc_correlation(
     model: MlpModel, n_draws: int, sigma: float, seed: int = 0, x=None
 ) -> Matrix:
@@ -140,24 +167,8 @@ class AttackReport:
     min_flip_norm: float | None
     worst_perturbation: tuple[float, ...] | None
 
-    def as_dict(self) -> dict:
-        return {
-            "sample_index": self.sample_index,
-            "certified_class": self.certified_class,
-            "certified_radius": self.certified_radius,
-            "budget": self.budget,
-            "grid_density": self.grid_density,
-            "votes_per_probe": self.votes_per_probe,
-            "n_probes": self.n_probes,
-            "n_flips": self.n_flips,
-            "min_flip_norm": self.min_flip_norm,
-            "worst_perturbation": (
-                None if self.worst_perturbation is None else list(self.worst_perturbation)
-            ),
-        }
-
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
 def grid_attack(

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn import MlpModel, forward_batch
+from .nn import MlpModel
+from .train import evaluate
 
 _DROP_EPS = 1e-12
 
@@ -68,11 +69,6 @@ class SigmaSearchResult:
     base_accuracy: float
 
 
-def _accuracy(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
-    logits, _ = forward_batch(model, X)
-    return float(np.mean(np.argmax(logits, axis=1) == y))
-
-
 def select_sigma(model: MlpModel, inputs, labels, cfg: SigmaSearchConfig) -> SigmaSearchResult:
     """Largest grid variance whose mean perturbed-accuracy drop <= tolerance."""
     X = np.asarray(inputs, dtype=np.float64)
@@ -82,7 +78,7 @@ def select_sigma(model: MlpModel, inputs, labels, cfg: SigmaSearchConfig) -> Sig
     if X.shape[1] != model.in_dim:
         raise ValueError("evaluation inputs do not match the model's input dim")
     X, y = X[: cfg.eval_subset], y[: cfg.eval_subset]
-    base_acc = _accuracy(model, X, y)
+    base_acc = evaluate(model, X, y)
 
     best: float | None = None
     trace: list[tuple[float, float]] = []
@@ -94,7 +90,7 @@ def select_sigma(model: MlpModel, inputs, labels, cfg: SigmaSearchConfig) -> Sig
             perturbed = MlpModel(
                 tuple(w + sig * g.standard_normal(w.shape) for w in model.layers)
             )
-            accs[j] = _accuracy(perturbed, X, y)
+            accs[j] = evaluate(perturbed, X, y)
         drop = max(0.0, base_acc - float(accs.mean()))
         trace.append((float(sigma2), drop))
         if drop <= cfg.tolerance + _DROP_EPS:

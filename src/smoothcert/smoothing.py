@@ -9,30 +9,28 @@ one-sided Clopper-Pearson bound from a large estimation round, and converts
 that bound into an L2 radius; if the lower bound does not clear 1/2 it
 abstains.
 
-Weight-noise sampling modes (NoiseConfig.weight_mode):
+Weight noise is sampled by projection: per layer, add
+``sigma_weight * ||z|| * e`` with ``e ~ N(0, I)`` to the layer's output.
+Because each weight matrix acts on exactly one vector per forward pass and
+``U z | z ~ N(0, sigma^2 ||z||^2 I)`` for an i.i.d. Gaussian matrix ``U``,
+this draws from exactly the same output distribution as materializing a
+fresh full weight-noise matrix, at a fraction of the random numbers.
+``oracles.reference_votes`` does the latter, literally, as an independent
+check.
 
-* ``projected`` (default) -- per layer, add ``sigma_weight * ||z|| * e`` with
-  ``e ~ N(0, I)`` to the layer's output.  Because each weight matrix acts on
-  exactly one vector per forward pass and ``U z | z ~ N(0, sigma^2 ||z||^2 I)``
-  for an i.i.d. Gaussian matrix ``U``, this draws from exactly the same
-  output distribution as materializing a fresh full weight-noise matrix,
-  at a fraction of the random numbers.
-* ``matrix`` -- literally materialize a fresh Gaussian matrix per vote.
-* ``cache`` -- approximation: pre-draw ``cache_size`` weight-noise sets and
-  resample them with replacement per vote.  Off by default; vote
-  probabilities are then only as diverse as the cache.
-
-All modes share the input-noise handling and are deterministic given the
-model, input, and stream: identical seeds reproduce identical votes
-bit-for-bit.  Ties in the vote argmax always break to the lowest class index.
+Sampling is deterministic given the model, input, and stream: identical
+seeds reproduce identical votes bit-for-bit.  Non-finite inputs or weights
+are rejected rather than voted on.  Ties in the vote argmax always break to
+the lowest class index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from . import rng
 from .bounds import vote_probability_gap
@@ -41,12 +39,11 @@ from .nn import MlpModel
 ABSTAIN = -1
 
 _CHUNK = 4096
-_MATRIX_CHUNK_BUDGET = 1 << 22  # doubles of weight noise materialized per chunk
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Noise levels, base seed and weight-noise sampling mode.
+    """Noise levels and base seed.
 
     ``sigma_weight=None`` means "same as sigma_input".  ``base_seed`` roots
     the per-sample streams: sample ``i`` in phase ``p`` draws from
@@ -56,8 +53,6 @@ class NoiseConfig:
     sigma_input: float
     sigma_weight: float | None = None
     base_seed: int = 0
-    weight_mode: str = "projected"
-    cache_size: int = 0
 
     def __post_init__(self) -> None:
         for name in ("sigma_input", "sigma_weight"):
@@ -66,10 +61,6 @@ class NoiseConfig:
                 continue
             if not np.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.weight_mode not in ("projected", "matrix", "cache"):
-            raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
-        if self.weight_mode == "cache" and self.cache_size < 1:
-            raise ValueError("cache mode needs cache_size >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
 
@@ -104,13 +95,6 @@ class CertifyResult:
         return self.predicted == ABSTAIN
 
 
-def _chunk_size(model: MlpModel, mode: str) -> int:
-    if mode != "matrix":
-        return _CHUNK
-    largest = max(w.size for w in model.layers)
-    return max(1, min(_CHUNK, _MATRIX_CHUNK_BUDGET // largest))
-
-
 def _noisy_logits(model, x, noise: NoiseConfig, num: int, g: np.random.Generator):
     """Yield chunks of logits of the jointly-perturbed network at x.
 
@@ -122,66 +106,36 @@ def _noisy_logits(model, x, noise: NoiseConfig, num: int, g: np.random.Generator
         raise ValueError(f"input shape {x.shape} incompatible with model input dim {model.in_dim}")
     if num < 1:
         raise ValueError("need at least one draw")
+    if not np.isfinite(x).all():
+        raise ValueError("input has non-finite entries")
+    if not all(np.isfinite(w).all() for w in model.layers):
+        raise ValueError("model has non-finite weights")
     si = float(noise.sigma_input)
     sw = float(noise.resolved_sigma_weight)
-    mode = noise.weight_mode
-    chunk = _chunk_size(model, mode)
     last = model.n_layers - 1
-
-    cache = None
-    if mode == "cache" and sw > 0.0:
-        cache = [
-            [sw * g.standard_normal(w.shape) for w in model.layers]
-            for _ in range(noise.cache_size)
-        ]
-
     done = 0
     while done < num:
-        b = min(chunk, num - done)
+        b = min(_CHUNK, num - done)
         done += b
         if si > 0.0:
             Z = x[None, :] + si * g.standard_normal((b, x.shape[0]))
         else:
             Z = np.broadcast_to(x, (b, x.shape[0]))
-        if mode == "cache" and sw > 0.0:
-            idx = g.integers(0, noise.cache_size, size=b)
-            for i, w in enumerate(model.layers):
-                A = Z @ w.T
-                for ui in np.unique(idx):
-                    sel = idx == ui
-                    A[sel] += Z[sel] @ cache[ui][i].T
-                Z = np.maximum(A, 0.0) if i != last else A
-        elif mode == "matrix" and sw > 0.0:
-            for i, w in enumerate(model.layers):
-                U = sw * g.standard_normal((b,) + w.shape)
-                A = Z @ w.T + np.einsum("boi,bi->bo", U, Z)
-                Z = np.maximum(A, 0.0) if i != last else A
-        else:  # projected, or no weight noise at all
-            for i, w in enumerate(model.layers):
-                A = Z @ w.T
-                if sw > 0.0:
-                    A += sw * np.linalg.norm(Z, axis=1)[:, None] * g.standard_normal((b, w.shape[0]))
-                Z = np.maximum(A, 0.0) if i != last else A
+        for i, w in enumerate(model.layers):
+            A = Z @ w.T
+            if sw > 0.0:
+                A += sw * np.linalg.norm(Z, axis=1)[:, None] * g.standard_normal((b, w.shape[0]))
+            Z = np.maximum(A, 0.0) if i != last else A
         yield Z
 
 
-def _as_generator(stream) -> np.random.Generator:
-    if isinstance(stream, np.random.Generator):
-        return stream
-    return rng.stream(int(stream))
-
-
 def sample_under_noise(
-    model: MlpModel, x, num: int, noise: NoiseConfig, stream
+    model: MlpModel, x, num: int, noise: NoiseConfig, stream: np.random.Generator
 ) -> VoteCounts:
-    """Tally argmax votes of the jointly-perturbed network over ``num`` draws.
-
-    ``stream`` is either an integer seed or a ready ``np.random.Generator``.
-    """
-    g = _as_generator(stream)
+    """Tally argmax votes of the jointly-perturbed network over ``num`` draws."""
     k = model.out_dim
     counts = np.zeros(k, dtype=np.int64)
-    for Z in _noisy_logits(model, x, noise, num, g):
+    for Z in _noisy_logits(model, x, noise, num, stream):
         counts += np.bincount(np.argmax(Z, axis=1), minlength=k)
     return VoteCounts(counts=tuple(int(c) for c in counts), draws=num)
 
@@ -194,9 +148,11 @@ def majority_vote_predict(model: MlpModel, x, num: int, noise: NoiseConfig, stre
 def lower_conf_bound(successes: int, draws: int, confidence: float) -> float:
     """One-sided Clopper-Pearson lower confidence bound on a binomial p.
 
-    The largest p with P[Bin(draws, p) >= successes] <= 1 - confidence,
-    i.e. the (1-confidence) quantile of Beta(successes, draws-successes+1),
-    found by bisection on the regularized incomplete beta to 1e-12.
+    The (1-confidence) quantile of Beta(successes, draws-successes+1), i.e.
+    the largest p with P[Bin(draws, p) >= successes] <= 1 - confidence.
+    The closed-form inverse can land a few ulps high, so it is stepped down,
+    with the step doubling on each try, until the incomplete beta at p is at
+    most 1 - confidence: the result never overstates the bound.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -209,14 +165,12 @@ def lower_conf_bound(successes: int, draws: int, confidence: float) -> float:
     alpha = 1.0 - confidence
     a = float(successes)
     b = float(draws - successes + 1)
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if betainc(a, b, mid) > alpha:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    p = float(betaincinv(a, b, alpha))
+    step = math.ulp(p)
+    while p > 0.0 and betainc(a, b, p) > alpha:
+        p = max(p - step, 0.0)
+        step *= 2.0
+    return p
 
 
 def certified_radius(pa: float, pb: float, sigma: float) -> float:
@@ -313,19 +267,20 @@ def smoothed_accuracy(model: MlpModel, inputs, labels, noise: NoiseConfig, num: 
     return hits / X.shape[0]
 
 
-def certified_accuracy_curve(results, labels, radii) -> np.ndarray:
+def certified_accuracy_curve(predicted, radius, labels, radii) -> np.ndarray:
     """Fraction of examples both correct and certified at radius >= r, per r.
 
+    ``predicted`` and ``radius`` hold each example's certified class (or
+    ABSTAIN) and radius; ``radii`` is the grid the curve is evaluated on.
     Abstentions count as incorrect at every radius, so the curve at r = 0 is
     the certified (non-abstaining) accuracy.  Non-increasing in r.
     """
-    rs = np.asarray(radii, dtype=np.float64)
+    pred = np.asarray(predicted)
+    rad = np.asarray(radius, dtype=np.float64)
     y = np.asarray(labels)
-    if len(results) != y.shape[0]:
-        raise ValueError("results and labels must have equal length")
-    if len(results) == 0:
+    if not pred.shape == rad.shape == y.shape or pred.ndim != 1:
+        raise ValueError("predicted, radius and labels must be equal-length vectors")
+    if pred.shape[0] == 0:
         raise ValueError("need at least one certification result")
-    pred = np.array([r.predicted for r in results])
-    rad = np.array([r.radius for r in results])
     correct = pred == y
-    return np.array([np.mean(correct & (rad >= r)) for r in rs])
+    return np.array([np.mean(correct & (rad >= r)) for r in np.asarray(radii, dtype=np.float64)])

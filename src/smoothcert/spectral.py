@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -107,6 +107,15 @@ def correlation_matrix(m: Matrix, return_zero_rows: bool = False):
     return cos
 
 
+def mean_abs_offdiag(m) -> float:
+    """Mean absolute off-diagonal entry of a square matrix (0 below 2x2)."""
+    c = np.asarray(m, dtype=np.float64)
+    k = c.shape[0]
+    if k < 2:
+        return 0.0
+    return float(np.abs(c[~np.eye(k, dtype=bool)]).mean())
+
+
 def l11_norm(m: Matrix) -> float:
     """Sum of the absolute values of all entries."""
     return float(np.abs(np.asarray(m, dtype=np.float64)).sum())
@@ -175,28 +184,12 @@ class SpectralReport:
     cosine_matrix: tuple[tuple[float, ...], ...]
     degenerate_rows: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "per_layer_spectral": list(self.per_layer_spectral),
-            "per_layer_frobenius": list(self.per_layer_frobenius),
-            "product_spectral": self.product_spectral,
-            "collapsed_spectral": self.collapsed_spectral,
-            "gershgorin": self.gershgorin,
-            "cosine_matrix": [list(row) for row in self.cosine_matrix],
-            "degenerate_rows": list(self.degenerate_rows),
-        }
-
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
     @property
     def mean_abs_offdiag_cosine(self) -> float:
-        c = np.asarray(self.cosine_matrix)
-        k = c.shape[0]
-        if k < 2:
-            return 0.0
-        off = ~np.eye(k, dtype=bool)
-        return float(np.abs(c[off]).mean())
+        return mean_abs_offdiag(self.cosine_matrix)
 
 
 def spectral_report(model: MlpModel, tol: float = 1e-10, seed: int = 0) -> SpectralReport:

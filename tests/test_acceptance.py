@@ -15,7 +15,6 @@ run the soundness attack at full probe density / vote count.
 import math
 import os
 import time
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -240,19 +239,13 @@ def digit_trend_runs(digit_train_set):
     return runs, time.perf_counter() - t0
 
 
-def _mean_abs_offdiag(report):
-    cos = np.asarray(report.cosine_matrix)
-    k = cos.shape[0]
-    return float(np.abs(cos[~np.eye(k, dtype=bool)]).mean())
-
-
 def test_criterion_4_spectral_trend(criterion, digit_trend_runs):
     runs, elapsed = digit_trend_runs
     with criterion(4) as c:
         alphas = (0.0, 0.1, 0.3)
         coll = [runs[a][0].collapsed_spectral for a in alphas]
         prod = [runs[a][0].product_spectral for a in alphas]
-        offs = [_mean_abs_offdiag(runs[a][0]) for a in alphas]
+        offs = [runs[a][0].mean_abs_offdiag_cosine for a in alphas]
         c.check(coll[0] > coll[1] > coll[2],
                 f"collapsed spectral norm not strictly decreasing: {coll}")
         c.check(prod[0] > prod[1] > prod[2],
@@ -312,7 +305,8 @@ def test_criterion_6_certified_curve_dominance(criterion):
             results = [certify(model, Xte[i], noise, n_selection=100,
                                n_estimation=10_000, alpha=0.001, sample_index=i)
                        for i in range(te.m)]
-            curves[alpha] = smoothing.certified_accuracy_curve(results, te.labels, radii)
+            curves[alpha] = smoothing.certified_accuracy_curve(
+                [r.predicted for r in results], [r.radius for r in results], te.labels, radii)
         a0, a1 = curves[0.0], curves[0.1]
         support = (a0 > 0) | (a1 > 0)
         c.check(int(support.sum()) > 0, "empty radius support")
@@ -403,10 +397,10 @@ def test_criterion_8_invariant_suite(criterion, tmp_path):
                 f"margin loss not monotone in gamma: {losses}")
         c.check(losses[-1] == 1.0, "margin loss at huge gamma must be 1")
 
-        rows = [SimpleNamespace(predicted=int(g.integers(-1, 3)),
-                                radius=float(g.uniform(0.0, 1.0))) for _ in range(60)]
+        rows = [(int(g.integers(-1, 3)), float(g.uniform(0.0, 1.0))) for _ in range(60)]
+        predicted, radius = zip(*rows)
         curve = smoothing.certified_accuracy_curve(
-            rows, g.integers(0, 3, size=60), np.linspace(0.0, 1.2, 25))
+            predicted, radius, g.integers(0, 3, size=60), np.linspace(0.0, 1.2, 25))
         c.check(all(a >= b for a, b in zip(curve, curve[1:])),
                 "certified-accuracy curve increased somewhere")
 
@@ -445,16 +439,16 @@ def test_criterion_8_invariant_suite(criterion, tmp_path):
             err = np.max(np.abs(fd - reg_grads.layers[li])) / max(np.max(np.abs(fd)), 1e-12)
             c.check(err < 1e-4, f"regularizer FD mismatch {err:.2e} at layer {li}")
 
-        x0, label = X[0], 1
-        logits, cache = nn.forward_with_cache(mdl, x0)
-        _, dlogits = nn.cross_entropy_loss(logits, label)
-        net_grads = nn.backward(mdl, cache, dlogits)
+        x0, label = X[:1], np.array([1])
+        logits, cache = nn.forward_batch(mdl, x0)
+        _, dlogits = nn.cross_entropy_batch(logits, label)
+        net_grads = nn.backward_batch(mdl, cache, dlogits)
         for li in range(len(mdl.layers)):
             def loss(Wl, li=li):
                 layers = list(mdl.layers)
                 layers[li] = Wl
-                return nn.cross_entropy_loss(
-                    nn.forward(MlpModel(layers=tuple(layers)), x0), label)[0]
+                return nn.cross_entropy_batch(
+                    nn.forward_batch(MlpModel(layers=tuple(layers)), x0)[0], label)[0]
             fd = central_diff(loss, mdl.layers[li].copy(), step=1e-5)
             err = np.max(np.abs(fd - net_grads.layers[li])) / max(np.max(np.abs(fd)), 1e-12)
             c.check(err < 1e-6, f"network FD mismatch {err:.2e} at layer {li}")

@@ -84,14 +84,6 @@ def test_tau_increases_with_dimension():
     assert all(b > a for a, b in zip(taus, taus[1:]))
 
 
-def test_tau_positive_tol_short_circuits():
-    loose = tau_solve(50, tol=1e-3)
-    tight = tau_solve(50)
-    assert abs(loose - tight) < 1.0
-    with pytest.raises(ValueError):
-        tau_solve(50, tol=-1.0)
-
-
 # ------------------------------------------------------------ psi / phi / kl
 
 def golden_psi_inputs():

@@ -203,6 +203,30 @@ def test_certify_missing_sigma2_usage_error(checkpoint, tmp_path):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("radius-step", "0"), ("radius-step", "-0.25"), ("radius-step", "nan"),
+    ("radius-max", "-1.0"), ("radius-max", "inf"), ("radius-max", "nan"),
+])
+def test_certify_bad_radius_grid_usage_error(checkpoint, tmp_path, flag, value):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as e:
+        cli.main(certify_args(checkpoint, out, **{flag: value}))
+    assert e.value.code == 2
+    assert not (out / "samples.csv").exists()
+
+
+def test_certify_non_finite_checkpoint_exits_1(checkpoint, tmp_path, capsys):
+    model, meta = data.load_checkpoint(checkpoint)
+    layers = [w.copy() for w in model.layers]
+    layers[0][0, 0] = float("nan")
+    bad = tmp_path / "bad.smcert"
+    data.save_checkpoint(bad, model.with_layers(layers), meta)
+    out = tmp_path / "x"
+    assert cli.main(certify_args(str(bad), out)) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+
+
 # ---------------------------------------------------------------- bound ---
 
 

@@ -221,3 +221,13 @@ def test_checkpoint_rejects_future_version(tmp_path):
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
     with pytest.raises(ValueError, match="version"):
         data.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, bad):
+    path = tmp_path / "m.ckpt"
+    layer = np.ones((2, 3))
+    layer[1, 2] = bad
+    data.save_checkpoint(path, MlpModel((np.ones((3, 3)), layer)))
+    with pytest.raises(ValueError, match="non-finite weights in layer 1"):
+        data.load_checkpoint(path)

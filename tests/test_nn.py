@@ -8,13 +8,10 @@ from smoothcert.nn import (
     Gradients,
     MlpModel,
     SgdState,
-    backward,
     backward_batch,
     cross_entropy_batch,
-    cross_entropy_loss,
     forward,
     forward_batch,
-    forward_with_cache,
     init_model,
     plain_step,
     sgd_step,
@@ -71,8 +68,8 @@ def test_forward_batch_matches_single(tiny_model):
 
 def test_backward_zero_upstream_gives_zero_grads(tiny_model):
     x = rng.stream(3, 98).standard_normal(6)
-    _, cache = forward_with_cache(tiny_model, x)
-    grads = backward(tiny_model, cache, np.zeros(3))
+    _, cache = forward_batch(tiny_model, x[None, :])
+    grads = backward_batch(tiny_model, cache, np.zeros((1, 3)))
     for g in grads.layers:
         assert np.all(g == 0.0)
 
@@ -81,16 +78,14 @@ def test_backward_finite_difference():
     model = rand_model((5, 4, 4, 3), seed=11)
     g = rng.stream(4, 98)
     x = g.standard_normal(5)
-    # keep away from ReLU kinks: nudge x until no pre-activation is near 0
-    _, cache = forward_with_cache(model, x)
     target = g.standard_normal(3)
 
     def loss_of(model_):
         out = forward(model_, x)
         return float(out @ target)
 
-    _, cache = forward_with_cache(model, x)
-    grads = backward(model, cache, target)
+    _, cache = forward_batch(model, x[None, :])
+    grads = backward_batch(model, cache, target[None, :])
     for li in range(len(model.layers)):
         def f(w, li=li):
             layers = list(model.layers)
@@ -109,8 +104,8 @@ def test_backward_batch_sums_per_sample_grads():
     got = backward_batch(model, cache, U)
     want = [np.zeros_like(L) for L in model.layers]
     for i in range(7):
-        _, ci = forward_with_cache(model, X[i])
-        gi = backward(model, ci, U[i])
+        _, ci = forward_batch(model, X[i : i + 1])
+        gi = backward_batch(model, ci, U[i : i + 1])
         for j, gl in enumerate(gi.layers):
             want[j] += gl
     for j in range(len(want)):
@@ -171,17 +166,23 @@ def test_plain_step():
 
 # ---------------------------------------------------------------- loss
 
+def cross_entropy_one(logits, label):
+    """Loss and logit gradient of a single example, as a batch of one."""
+    loss, grad = cross_entropy_batch(np.asarray(logits)[None, :], np.array([label]))
+    return loss, grad[0]
+
+
 def test_cross_entropy_uniform_logits():
-    loss, _ = cross_entropy_loss(np.zeros(10), 3)
+    loss, _ = cross_entropy_one(np.zeros(10), 3)
     assert loss == pytest.approx(math.log(10.0), rel=1e-15)
 
 
 def test_cross_entropy_gradient_finite_difference():
     z = rng.stream(8, 98).standard_normal(6)
-    _, grad = cross_entropy_loss(z, 2)
+    _, grad = cross_entropy_one(z, 2)
 
     def f(z_):
-        return cross_entropy_loss(z_, 2)[0]
+        return cross_entropy_one(z_, 2)[0]
 
     fd = central_diff(f, z.copy(), step=1e-6)
     assert relative_error(grad, fd) < 1e-6
@@ -189,14 +190,14 @@ def test_cross_entropy_gradient_finite_difference():
 
 def test_cross_entropy_gradient_sums_to_zero():
     z = rng.stream(9, 98).standard_normal(4)
-    _, grad = cross_entropy_loss(z, 0)
+    _, grad = cross_entropy_one(z, 0)
     assert abs(grad.sum()) < 1e-14
 
 
 def test_cross_entropy_shift_invariance():
     z = rng.stream(10, 98).standard_normal(5)
-    a, _ = cross_entropy_loss(z, 1)
-    b, _ = cross_entropy_loss(z + 1000.0, 1)
+    a, _ = cross_entropy_one(z, 1)
+    b, _ = cross_entropy_one(z + 1000.0, 1)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -204,7 +205,7 @@ def test_cross_entropy_batch_is_mean_of_singles():
     Z = rng.stream(11, 98).standard_normal((6, 4))
     y = np.array([0, 1, 2, 3, 0, 1])
     loss, grad = cross_entropy_batch(Z, y)
-    singles = [cross_entropy_loss(Z[i], int(y[i])) for i in range(6)]
+    singles = [cross_entropy_one(Z[i], int(y[i])) for i in range(6)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-14)
     want = np.stack([s[1] for s in singles]) / 6.0
     assert np.allclose(grad, want, rtol=1e-14, atol=1e-16)

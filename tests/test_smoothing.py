@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betainc
 
 from smoothcert import rng
 from smoothcert.nn import MlpModel, forward
-from smoothcert.oracles import binomial_tail
+from smoothcert.oracles import binomial_tail, reference_votes
 from smoothcert.smoothing import (
     ABSTAIN,
-    CertifyResult,
     NoiseConfig,
     VoteCounts,
     certified_accuracy_curve,
@@ -37,7 +39,7 @@ def test_zero_noise_votes_equal_plain_argmax():
     for seed in range(5):
         model = rand_model((6, 5, 4), seed=seed)
         x = g.standard_normal(6)
-        votes = sample_under_noise(model, x, 32, NO_NOISE, stream=seed)
+        votes = sample_under_noise(model, x, 32, NO_NOISE, rng.stream(seed))
         want = int(np.argmax(forward(model, x)))
         assert votes.counts[want] == 32
         assert sum(votes.counts) == votes.draws == 32
@@ -45,7 +47,7 @@ def test_zero_noise_votes_equal_plain_argmax():
 
 def test_vote_count_conservation_under_noise(tiny_model):
     noise = NoiseConfig(sigma_input=0.8, sigma_weight=0.4)
-    votes = sample_under_noise(tiny_model, np.zeros(6), 5001, noise, stream=3)
+    votes = sample_under_noise(tiny_model, np.zeros(6), 5001, noise, rng.stream(3))
     assert sum(votes.counts) == votes.draws == 5001
     assert all(c >= 0 for c in votes.counts)
 
@@ -58,14 +60,14 @@ def test_top_breaks_ties_to_lowest_index():
 def test_majority_vote_matches_manual_top(tiny_model):
     noise = NoiseConfig(sigma_input=0.5)
     x = np.ones(6)
-    votes = sample_under_noise(tiny_model, x, 400, noise, stream=9)
-    assert majority_vote_predict(tiny_model, x, 400, noise, stream=9) == votes.top()
+    votes = sample_under_noise(tiny_model, x, 400, noise, rng.stream(9))
+    assert majority_vote_predict(tiny_model, x, 400, noise, rng.stream(9)) == votes.top()
 
 
-def test_int_seed_equals_explicit_stream(tiny_model):
+def test_identical_streams_reproduce_votes(tiny_model):
     noise = NoiseConfig(sigma_input=0.3, sigma_weight=0.2)
-    a = sample_under_noise(tiny_model, np.ones(6), 500, noise, stream=7)
-    b = sample_under_noise(tiny_model, np.ones(6), 500, noise, rng.stream(7))
+    a = sample_under_noise(tiny_model, np.ones(6), 5000, noise, rng.stream(7))
+    b = sample_under_noise(tiny_model, np.ones(6), 5000, noise, rng.stream(7))
     assert a == b
 
 
@@ -74,41 +76,65 @@ def test_symmetric_input_splits_votes_in_binomial_band():
     model = model_of(np.eye(2))
     noise = NoiseConfig(sigma_input=1.0, sigma_weight=0.0)
     num = 100_000
-    votes = sample_under_noise(model, np.zeros(2), num, noise, stream=1)
+    votes = sample_under_noise(model, np.zeros(2), num, noise, rng.stream(1))
     band = 3.0 * math.sqrt(num * 0.25)
     assert abs(votes.counts[0] - num / 2.0) <= band
 
 
 def test_sampler_modes_agree_statistically():
+    # the projected sampler and a fresh full weight-noise matrix per vote
+    # draw from the same distribution: every class's vote share must agree
+    # within 5 standard errors of a difference of proportions (and 0.05)
     model = rand_model((4, 4, 3), seed=2)
     x = 0.3 * np.ones(4)
-    num = 4000
-    top = {}
-    for mode, cache in (("projected", 0), ("matrix", 0), ("cache", 64)):
-        noise = NoiseConfig(sigma_input=0.2, sigma_weight=0.2,
-                            weight_mode=mode, cache_size=cache)
-        votes = sample_under_noise(model, x, num, noise, stream=5)
-        top[mode] = votes.counts[votes.top()] / num
-    # same distribution (exactly, for projected vs matrix): fractions close
-    assert abs(top["projected"] - top["matrix"]) < 0.05
-    assert abs(top["projected"] - top["cache"]) < 0.10
+    num = 20_000
+    for si, sw in ((0.2, 0.2), (1.0, 0.5)):
+        noise = NoiseConfig(sigma_input=si, sigma_weight=sw)
+        fast = sample_under_noise(model, x, num, noise, rng.stream(5))
+        slow = reference_votes(model, x, num, noise, rng.stream(6))
+        assert fast.draws == slow.draws == num
+        for a, b in zip(fast.counts, slow.counts):
+            pooled = (a + b) / (2.0 * num)
+            se = math.sqrt(2.0 * pooled * (1.0 - pooled) / num)
+            assert abs(a - b) / num <= min(0.05, 5.0 * se)
 
 
 def test_sample_under_noise_validates():
     model = model_of(np.eye(2))
     with pytest.raises(ValueError):
-        sample_under_noise(model, np.zeros(3), 10, NO_NOISE, stream=0)
+        sample_under_noise(model, np.zeros(3), 10, NO_NOISE, rng.stream(0))
     with pytest.raises(ValueError):
-        sample_under_noise(model, np.zeros(2), 0, NO_NOISE, stream=0)
+        sample_under_noise(model, np.zeros(2), 0, NO_NOISE, rng.stream(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected_not_voted(bad):
+    # an all-NaN logit row would otherwise argmax to class 0 and certify
+    model = model_of([[1.0, 0.0], [-1.0, 0.0]])
+    noise = NoiseConfig(sigma_input=0.25, sigma_weight=0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_under_noise(model, np.array([bad, 0.0]), 10, noise, rng.stream(0))
+    with pytest.raises(ValueError, match="non-finite"):
+        certify(model, np.array([bad, 0.0]), noise, n_selection=10, n_estimation=100)
+
+
+def test_non_finite_weights_are_rejected_not_voted():
+    model = model_of([[1.0, np.nan], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        certify(model, np.array([0.6, 0.0]), NoiseConfig(sigma_input=0.25),
+                n_selection=10, n_estimation=100)
+    with pytest.raises(ValueError, match="non-finite"):
+        empirical_margin_loss(model, np.zeros((2, 2)), np.zeros(2, dtype=int), 0.1,
+                              NO_NOISE, num=4)
 
 
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(sigma_input=-0.1)
     with pytest.raises(ValueError):
-        NoiseConfig(sigma_input=0.1, weight_mode="bogus")
+        NoiseConfig(sigma_input=0.1, sigma_weight=float("nan"))
     with pytest.raises(ValueError):
-        NoiseConfig(sigma_input=0.1, weight_mode="cache", cache_size=0)
+        NoiseConfig(sigma_input=0.1, base_seed=-1)
     assert NoiseConfig(sigma_input=0.5).resolved_sigma_weight == 0.5
     assert NoiseConfig(sigma_input=0.5, sigma_weight=0.1).resolved_sigma_weight == 0.1
 
@@ -127,7 +153,7 @@ def test_lcb_all_successes_closed_form():
 
 def test_lcb_frozen_golden_and_tail_consistency():
     p = lower_conf_bound(90, 100, 0.999)
-    assert p == pytest.approx(0.7753298801671917, abs=1e-11)
+    assert p == pytest.approx(0.7753298801677749, abs=1e-11)
     # p* is where the upper tail P[Bin(100, p) >= 90] crosses alpha = 0.001
     assert binomial_tail(90, 100, p) == pytest.approx(0.001, abs=1e-9)
 
@@ -148,6 +174,21 @@ def test_lcb_below_mle_and_monotone():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     for k, v in zip((10, 30, 50, 70, 90), vals):
         assert v < k / 100.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10**6), data=st.data(),
+       confidence=st.floats(0.5, 0.99999, exclude_min=True, exclude_max=True))
+def test_lcb_closed_form_is_conservative_and_monotone(n, data, confidence):
+    k = data.draw(st.integers(0, n), label="k")
+    p = lower_conf_bound(k, n, confidence)
+    assert 0.0 <= p <= k / n
+    if k > 0:
+        assert betainc(k, n - k + 1, p) <= 1.0 - confidence
+    if k < n:
+        assert lower_conf_bound(k + 1, n, confidence) >= p
+    if k > 0:
+        assert lower_conf_bound(k - 1, n, confidence) <= p
 
 
 def test_lcb_validates():
@@ -297,41 +338,34 @@ def test_smoothed_accuracy_variance_shrinks_with_votes():
 
 # ------------------------------------------------------------ curves
 
-def fake_result(predicted, radius):
-    return CertifyResult(predicted=predicted, pa_lower=0.9, radius=radius,
-                         alpha=0.001, selection=VoteCounts((1,), 1),
-                         estimation=VoteCounts((1,), 1))
-
-
 def test_curve_at_zero_without_abstains_is_accuracy():
-    results = [fake_result(0, 0.2), fake_result(1, 0.4), fake_result(0, 0.1)]
-    labels = [0, 1, 1]
-    curve = certified_accuracy_curve(results, labels, [0.0])
+    curve = certified_accuracy_curve([0, 1, 0], [0.2, 0.4, 0.1], [0, 1, 1], [0.0])
     assert curve[0] == pytest.approx(2.0 / 3.0)
 
 
 def test_curve_single_sample_step_shape():
-    curve = certified_accuracy_curve([fake_result(0, 0.5)], [0],
-                                     [0.0, 0.25, 0.5, 0.50001, 1.0])
+    curve = certified_accuracy_curve([0], [0.5], [0], [0.0, 0.25, 0.5, 0.50001, 1.0])
     assert list(curve) == [1.0, 1.0, 1.0, 0.0, 0.0]
 
 
 def test_curve_non_increasing():
     g = rng.stream(25, 98)
-    results = [fake_result(int(g.integers(0, 2)), float(g.uniform(0, 2)))
-               for _ in range(50)]
+    predicted = g.integers(0, 2, size=50)
+    radius = g.uniform(0, 2, size=50)
     labels = g.integers(0, 2, size=50)
-    curve = certified_accuracy_curve(results, labels, np.linspace(0, 2.5, 100))
+    curve = certified_accuracy_curve(predicted, radius, labels, np.linspace(0, 2.5, 100))
     assert all(b <= a for a, b in zip(curve, curve[1:]))
 
 
 def test_curve_abstain_counts_as_wrong_everywhere():
-    curve = certified_accuracy_curve([fake_result(ABSTAIN, 0.0)], [0], [0.0, 1.0])
+    curve = certified_accuracy_curve([ABSTAIN], [0.0], [0], [0.0, 1.0])
     assert list(curve) == [0.0, 0.0]
 
 
 def test_curve_validates_lengths():
     with pytest.raises(ValueError):
-        certified_accuracy_curve([fake_result(0, 0.1)], [0, 1], [0.0])
+        certified_accuracy_curve([0], [0.1], [0, 1], [0.0])
     with pytest.raises(ValueError):
-        certified_accuracy_curve([], [], [0.0])
+        certified_accuracy_curve([0, 1], [0.1], [0, 1], [0.0])
+    with pytest.raises(ValueError):
+        certified_accuracy_curve([], [], [], [0.0])
