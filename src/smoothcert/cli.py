@@ -3,12 +3,15 @@
 Every option can also come from a flat key=value config file (``--config``):
 explicit command-line flags win over the file, the file wins over built-in
 defaults.  ``--seed`` falls back to the SMOOTHCERT_SEED environment variable
-when neither the flag nor the file sets it.  Each run writes its fully
-resolved configuration as ``config.json`` beside its outputs, and all
-outputs are byte-reproducible for identical resolved configurations.
+when neither the flag nor the file sets it.  Config-file values and
+SMOOTHCERT_SEED stay text until the option's own argparse ``type`` converts
+and range-checks them, exactly as if the same text were given as a flag.
+Each run writes its fully resolved configuration as ``config.json`` beside
+its outputs, and all outputs are byte-reproducible for identical resolved
+configurations.
 
-Exit codes: 0 success, 1 computational/runtime failure, 2 bad flags or
-config.
+Exit codes: 0 success, 1 computational/runtime failure, 2 bad flags, config
+values or SMOOTHCERT_SEED (before any data is read or ``--out`` is created).
 """
 
 from __future__ import annotations
@@ -32,178 +35,13 @@ from .sigma_select import SigmaSearchConfig, select_sigma
 from .smoothing import ABSTAIN, NoiseConfig
 from .train import TrainConfig, train
 
-_SENTINEL = object()
-
 SAMPLES_HEADER = ["sample_index", "label", "predicted", "abstain", "pa_lower", "radius", "correct"]
 CURVE_HEADER = ["radius", "accuracy"]
 METRICS_HEADER = ["epoch", "loss", "train_acc", "reg_value", "seconds"]
 TRACE_HEADER = ["sigma2", "mean_drop"]
 
 
-# ---------------------------------------------------------------- config ---
-
-
-def _parse_config_value(raw: str):
-    raw = raw.strip()
-    if raw.startswith(('"', "'")):
-        quote = raw[0]
-        end = raw.find(quote, 1)
-        if end < 0:
-            raise ValueError(f"unterminated string: {raw!r}")
-        return raw[1:end]
-    raw = raw.split("#", 1)[0].strip()
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
-
-
-def _read_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' comments; quoted or bare scalar values."""
-    values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if not key:
-            raise ValueError(f"{path}:{lineno}: empty key")
-        values[key] = _parse_config_value(raw)
-    return values
-
-
-class _Cmd:
-    """A subcommand whose options support the CLI > config > default cascade."""
-
-    def __init__(self, subparsers, name: str, help_text: str):
-        self.name = name
-        self.parser = subparsers.add_parser(name, help=help_text, description=help_text)
-        self.parser.set_defaults(_cmd=self)
-        self.defaults: dict[str, object] = {}
-        self.types: dict[str, type | None] = {}
-        self.opt("--config", default=None, type=str,
-                 help="flat key=value config file; flags override it")
-
-    def opt(self, flag: str, *, default, type=str, action=None, choices=None, help=""):
-        dest = flag.lstrip("-").replace("-", "_")
-        if default is not None:
-            help = f"{help} (default: {default})" if help else f"(default: {default})"
-        if action == "store_true":
-            self.parser.add_argument(flag, dest=dest, action="store_true",
-                                     default=_SENTINEL, help=help)
-            self.types[dest] = bool
-        else:
-            self.parser.add_argument(flag, dest=dest, type=type, choices=choices,
-                                     default=_SENTINEL, help=help)
-            self.types[dest] = type
-        self.defaults[dest] = default
-
-    def positional(self, name: str, *, nargs=None, help=""):
-        self.parser.add_argument(name, nargs=nargs, help=help)
-
-    def resolve(self, ns: argparse.Namespace) -> dict:
-        """Apply the precedence cascade; reject unknown config keys."""
-        values = vars(ns)
-        config: dict[str, object] = {}
-        raw_config = values.get("config")
-        if raw_config not in (None, _SENTINEL):
-            try:
-                config = _read_config_file(raw_config)
-            except (OSError, ValueError) as e:
-                self.parser.error(str(e))
-        unknown = set(config) - set(self.defaults) - {"config"}
-        if unknown:
-            self.parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        resolved: dict[str, object] = {}
-        for dest, default in self.defaults.items():
-            if values.get(dest) is not _SENTINEL:
-                resolved[dest] = values[dest]
-            elif dest in config:
-                typ = self.types.get(dest)
-                try:
-                    v = config[dest]
-                    if typ is bool and not isinstance(v, bool):
-                        raise ValueError(f"expected true/false for {dest}, got {v!r}")
-                    resolved[dest] = typ(v) if typ not in (None, bool) else v
-                except (TypeError, ValueError) as e:
-                    self.parser.error(f"config key {dest}: {e}")
-            else:
-                resolved[dest] = default
-        for key, value in values.items():
-            if key not in resolved and not key.startswith("_") and key != "config":
-                resolved[key] = value  # positionals
-        return resolved
-
-
-def _dataset_opts(cmd: _Cmd) -> None:
-    cmd.opt("--images", default=None, type=str, help="IDX image file (with --labels)")
-    cmd.opt("--labels", default=None, type=str, help="IDX label file (with --images)")
-    cmd.opt("--synth-kind", default="blobs", type=str, choices=["blobs", "digits"],
-            help="synthetic data family")
-    cmd.opt("--synth-k", default=3, type=int, help="synthetic data: classes")
-    cmd.opt("--synth-d", default=16, type=int, help="synthetic data: input dim")
-    cmd.opt("--synth-m", default=1200, type=int, help="synthetic data: examples")
-    cmd.opt("--synth-spread", default=0.08, type=float, help="synthetic data: cluster spread (blobs)")
-    cmd.opt("--synth-seed", default=1, type=int, help="synthetic data: seed")
-    cmd.opt("--max-samples", default=0, type=int, help="cap on examples used (0 = all)")
-
-
-def _load_dataset(cfg: dict) -> data.Dataset:
-    if cfg.get("images") or cfg.get("labels"):
-        if not (cfg.get("images") and cfg.get("labels")):
-            raise ValueError("--images and --labels must be supplied together")
-        ds = data.load_idx(cfg["images"], cfg["labels"])
-    else:
-        kind = cfg.get("synth_kind", "blobs")
-        if kind == "blobs":
-            ds = data.synth_blobs(cfg["synth_k"], cfg["synth_d"], cfg["synth_m"],
-                                  cfg["synth_spread"], cfg["synth_seed"])
-        elif kind == "digits":
-            ds = data.synth_digits(cfg["synth_k"], cfg["synth_d"], cfg["synth_m"],
-                                   cfg["synth_seed"])
-        else:
-            raise ValueError(f"unknown --synth-kind {kind!r} (expected 'blobs' or 'digits')")
-    if cfg.get("max_samples", 0) > 0:
-        ds = ds.subset(0, cfg["max_samples"])
-    return ds
-
-
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_config(out: Path, command: str, cfg: dict) -> None:
-    payload = {"command": command}
-    payload.update({k: v for k, v in cfg.items() if not k.startswith("_")})
-    (out / "config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _env_seed() -> int:
-    return int(os.environ.get("SMOOTHCERT_SEED", "0"))
+# --------------------------------------------------------------- options ---
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -222,6 +60,142 @@ def _parse_drops(text: str) -> tuple[tuple[int, float], ...]:
         epoch, divisor = part.split(":")
         drops.append((int(epoch), float(divisor)))
     return tuple(drops)
+
+
+def _checked(convert, ok, expected: str):
+    """An argparse ``type``: ``convert`` the text, then require ``ok(value)``."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return check
+
+
+_POS_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NONNEG_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POS_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_NONNEG_FLOAT = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_PROB = _checked(float, lambda v: 0.0 < v < 1.0, "a probability in (0, 1)")
+_UNIT = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_MOMENTUM = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+_SYNTH_KIND = _checked(str, lambda v: v in ("blobs", "digits"), "'blobs' or 'digits'")
+_TRUE_FALSE = _checked(lambda t: {"true": True, "false": False}.get(t.lower()),
+                       lambda v: v is not None, "true or false")
+# text options that hold numbers: checked here, kept as text in config.json
+_HIDDEN = _checked(str, lambda t: all(w >= 1 for w in _parse_hidden(t)),
+                   "comma-separated widths >= 1")
+_LR_DROPS = _checked(str, lambda t: all(e >= 1 and 0.0 < f < math.inf
+                                        for e, f in _parse_drops(t)),
+                     "epoch:divisor pairs with epoch >= 1 and a finite divisor > 0")
+
+
+class _Help(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends ``(default: ...)`` to every option whose default is not None."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
+    """Flat ``key = value`` lines with '#' comments; values are quoted or bare
+    text, left for each option's ``type`` to convert."""
+    options = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as e:
+        parser.error(str(e))
+    values: dict[str, str] = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        key = key.replace("-", "_")
+        where = f"{path}:{lineno}"
+        if not eq:
+            parser.error(f"{where}: expected 'key = value', got {line!r}")
+        if key not in options:
+            parser.error(f"{where}: unknown config key {key!r}")
+        if raw[:1] in ("'", '"'):
+            raw, end, _ = raw[1:].partition(raw[0])
+            if not end:
+                parser.error(f"{where}: unterminated string")
+        else:
+            raw = raw.split("#", 1)[0].strip()
+        values[key] = raw
+    return values
+
+
+def _dataset_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--images", help="IDX image file (with --labels)")
+    p.add_argument("--labels", help="IDX label file (with --images)")
+    p.add_argument("--synth-kind", default="blobs", type=_SYNTH_KIND,
+                   choices=["blobs", "digits"], help="synthetic data family")
+    p.add_argument("--synth-k", default=3, type=_POS_INT, help="synthetic data: classes")
+    p.add_argument("--synth-d", default=16, type=_POS_INT, help="synthetic data: input dim")
+    p.add_argument("--synth-m", default=1200, type=_POS_INT, help="synthetic data: examples")
+    p.add_argument("--synth-spread", default=0.08, type=_NONNEG_FLOAT,
+                   help="synthetic data: cluster spread (blobs)")
+    p.add_argument("--synth-seed", default=1, type=_NONNEG_INT, help="synthetic data: seed")
+    p.add_argument("--max-samples", default=0, type=_NONNEG_INT,
+                   help="cap on examples used (0 = all)")
+
+
+def _seed_opt(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", default=os.environ.get("SMOOTHCERT_SEED", "0"), type=_NONNEG_INT,
+                   help="base seed (env SMOOTHCERT_SEED fallback)")
+
+
+# --------------------------------------------------------------- helpers ---
+
+
+def _load_dataset(cfg: dict) -> data.Dataset:
+    if cfg["images"]:
+        ds = data.load_idx(cfg["images"], cfg["labels"])
+    elif cfg["synth_kind"] == "blobs":
+        ds = data.synth_blobs(cfg["synth_k"], cfg["synth_d"], cfg["synth_m"],
+                              cfg["synth_spread"], cfg["synth_seed"])
+    else:
+        ds = data.synth_digits(cfg["synth_k"], cfg["synth_d"], cfg["synth_m"],
+                               cfg["synth_seed"])
+    return ds.subset(0, cfg["max_samples"]) if cfg["max_samples"] else ds
+
+
+def _load_model_and_data(cfg: dict):
+    """The dataset, its bias-augmented inputs and the checkpoint's model."""
+    ds = _load_dataset(cfg)
+    model, _ = data.load_checkpoint(cfg["checkpoint"])
+    X = data.augment(ds.inputs)
+    if X.shape[1] != model.in_dim:
+        raise ValueError(
+            f"dataset dim {X.shape[1]} (bias-augmented) != model input dim {model.in_dim}")
+    return ds, X, model
+
+
+def _out_dir(cfg: dict) -> Path:
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_config(out: Path, cfg: dict) -> None:
+    (out / "config.json").write_text(
+        json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 # ------------------------------------------------------------- commands ---
@@ -249,7 +223,7 @@ def _cmd_train(cfg: dict) -> int:
                [(m.epoch, m.loss, m.train_acc, m.reg_value, m.seconds) for m in metrics])
     (out / "spectral.json").write_text(
         spectral.spectral_report(model).to_json() + "\n", encoding="utf-8")
-    _write_config(out, "train", cfg)
+    _write_config(out, cfg)
     last = metrics[-1]
     print(f"trained {len(metrics)} epochs: loss {last.loss:.4f}, "
           f"train acc {last.train_acc:.4f}, regularizer {last.reg_value:.4f}")
@@ -257,14 +231,12 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _cmd_sigma(cfg: dict) -> int:
-    ds = _load_dataset(cfg)
+    ds, X, model = _load_model_and_data(cfg)
     out = _out_dir(cfg)
-    model, _ = data.load_checkpoint(cfg["checkpoint"])
-    X = data.augment(ds.inputs)
     sc = SigmaSearchConfig(
         grid_start=cfg["grid_start"], grid_stop=cfg["grid_stop"], grid_step=cfg["grid_step"],
         n_samples=cfg["samples"], tolerance=cfg["tolerance"], eval_subset=cfg["eval_subset"],
-        base_seed=cfg["seed"], full_scan=bool(cfg["full_scan"]),
+        base_seed=cfg["seed"], full_scan=cfg["full_scan"],
     )
     result = select_sigma(model, X, ds.labels, sc)
     (out / "sigma.json").write_text(json.dumps({
@@ -273,7 +245,7 @@ def _cmd_sigma(cfg: dict) -> int:
         "base_accuracy": result.base_accuracy,
     }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_csv(out / "trace.csv", TRACE_HEADER, result.trace)
-    _write_config(out, "sigma", cfg)
+    _write_config(out, cfg)
     flag = " (flagged: no grid point qualified)" if result.flagged_none_qualified else ""
     print(f"selected sigma2 = {result.sigma2}{flag}")
     return 0
@@ -295,15 +267,8 @@ def _certify_one(i: int) -> tuple[int, int, float, float]:
 
 
 def _cmd_certify(cfg: dict) -> int:
-    ds = _load_dataset(cfg)
+    ds, X, model = _load_model_and_data(cfg)
     out = _out_dir(cfg)
-    model, _ = data.load_checkpoint(cfg["checkpoint"])
-    X = data.augment(ds.inputs)
-    if X.shape[1] != model.in_dim:
-        raise ValueError(
-            f"dataset dim {X.shape[1]} (bias-augmented) != model input dim {model.in_dim}")
-    if cfg["sigma2"] <= 0.0:
-        raise ValueError("--sigma2 must be positive")
     sigma_w = cfg["sigma_weight2"]
     noise = NoiseConfig(
         sigma_input=float(np.sqrt(cfg["sigma2"])),
@@ -335,7 +300,7 @@ def _cmd_certify(cfg: dict) -> int:
     _write_csv(out / "curve.csv", CURVE_HEADER, curve)
     plot.emit_plot(out / "curve.svg", {"certified accuracy": curve},
                    title="Certified accuracy", x_label="radius", y_label="accuracy")
-    _write_config(out, "certify", cfg)
+    _write_config(out, cfg)
     n_abstain = predicted.count(ABSTAIN)
     print(f"certified {ds.m} samples: accuracy at r=0 is {accs[0]:.4f}, "
           f"{n_abstain} abstentions")
@@ -343,13 +308,8 @@ def _cmd_certify(cfg: dict) -> int:
 
 
 def _cmd_bound(cfg: dict) -> int:
-    ds = _load_dataset(cfg)
+    ds, X, model = _load_model_and_data(cfg)
     out = _out_dir(cfg)
-    model, _ = data.load_checkpoint(cfg["checkpoint"])
-    X = data.augment(ds.inputs)
-    if X.shape[1] != model.in_dim:
-        raise ValueError(
-            f"dataset dim {X.shape[1]} (bias-augmented) != model input dim {model.in_dim}")
     report = spectral.spectral_report(model)
     hidden_dims = model.dims[1:-1]
     h = cfg["h"] if cfg["h"] > 0 else (max(hidden_dims) if hidden_dims else model.out_dim)
@@ -377,7 +337,7 @@ def _cmd_bound(cfg: dict) -> int:
     bound = evaluate_bound(inputs, loss, pa=pa, pb=pb)
     (out / "bound.json").write_text(bound.to_json() + "\n", encoding="utf-8")
     (out / "spectral.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    _write_config(out, "bound", cfg)
+    _write_config(out, cfg)
     tag = " (vacuous)" if bound.vacuous else ""
     print(f"bound = {bound.bound_value:.6f}{tag}, kl = {bound.kl_term:.6g}, "
           f"psi = {bound.psi:.6g}")
@@ -441,7 +401,7 @@ def _cmd_report(cfg: dict) -> int:
         _write_csv(out / "spectral_trends.csv",
                    ["run", "collapsed_spectral", "product_spectral", "gershgorin",
                     "mean_abs_offdiag_cosine", "sigma2"], spectral_rows)
-    _write_config(out, "report", cfg)
+    _write_config(out, cfg)
     print(f"merged {len(runs)} runs over {len(union)} radius grid points")
     return 0
 
@@ -455,75 +415,88 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Train, certify, and bound noise-smoothed majority-vote MLP classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_seed = _env_seed()
 
-    t = _Cmd(sub, "train", "train an MLP under input noise, optionally regularized")
+    def command(name: str, help_text: str, run) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, description=help_text, formatter_class=_Help)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        p.set_defaults(_run=run, _parser=p)
+        return p
+
+    t = command("train", "train an MLP under input noise, optionally regularized", _cmd_train)
     _dataset_opts(t)
-    t.opt("--out", default=None, type=str, help="output directory (required)")
-    t.opt("--hidden", default="32,32,32", type=str, help="comma-separated hidden widths")
-    t.opt("--epochs", default=30, type=int, help="training epochs")
-    t.opt("--batch-size", default=256, type=int, help="minibatch size")
-    t.opt("--lr", default=0.1, type=float, help="initial learning rate")
-    t.opt("--lr-drops", default="10:10,20:10", type=str,
-          help="epoch:divisor pairs, e.g. 10:10,20:10")
-    t.opt("--momentum", default=0.9, type=float, help="SGD momentum")
-    t.opt("--weight-decay", default=0.0, type=float, help="L2 weight decay")
-    t.opt("--noise-variance", default=0.12, type=float, help="training input-noise variance")
-    t.opt("--alpha", default=0.0, type=float, help="decorrelation regularizer strength")
-    t.opt("--seed", default=env_seed, type=int, help="base seed (env SMOOTHCERT_SEED fallback)")
-    t.parser.set_defaults(_run=_cmd_train)
+    t.add_argument("--out", help="output directory (required)")
+    t.add_argument("--hidden", default="32,32,32", type=_HIDDEN,
+                   help="comma-separated hidden widths")
+    t.add_argument("--epochs", default=30, type=_POS_INT, help="training epochs")
+    t.add_argument("--batch-size", default=256, type=_POS_INT, help="minibatch size")
+    t.add_argument("--lr", default=0.1, type=_POS_FLOAT, help="initial learning rate")
+    t.add_argument("--lr-drops", default="10:10,20:10", type=_LR_DROPS,
+                   help="epoch:divisor pairs, e.g. 10:10,20:10")
+    t.add_argument("--momentum", default=0.9, type=_MOMENTUM, help="SGD momentum")
+    t.add_argument("--weight-decay", default=0.0, type=_NONNEG_FLOAT, help="L2 weight decay")
+    t.add_argument("--noise-variance", default=0.12, type=_NONNEG_FLOAT,
+                   help="training input-noise variance")
+    t.add_argument("--alpha", default=0.0, type=_NONNEG_FLOAT,
+                   help="decorrelation regularizer strength")
+    _seed_opt(t)
 
-    s = _Cmd(sub, "sigma", "search the largest weight-noise variance the model tolerates")
+    s = command("sigma", "search the largest weight-noise variance the model tolerates",
+                _cmd_sigma)
     _dataset_opts(s)
-    s.opt("--checkpoint", default=None, type=str, help="model checkpoint (required)")
-    s.opt("--out", default=None, type=str, help="output directory (required)")
-    s.opt("--grid-start", default=0.01, type=float, help="variance grid start")
-    s.opt("--grid-stop", default=1.00, type=float, help="variance grid stop")
-    s.opt("--grid-step", default=0.01, type=float, help="variance grid step")
-    s.opt("--samples", default=50, type=int, help="weight perturbations per grid point")
-    s.opt("--tolerance", default=0.02, type=float, help="max mean accuracy drop")
-    s.opt("--eval-subset", default=2048, type=int, help="evaluation subset size")
-    s.opt("--full-scan", default=False, action="store_true",
-          help="scan the whole grid instead of stopping at the first violation")
-    s.opt("--seed", default=env_seed, type=int, help="base seed (env SMOOTHCERT_SEED fallback)")
-    s.parser.set_defaults(_run=_cmd_sigma)
+    s.add_argument("--checkpoint", help="model checkpoint (required)")
+    s.add_argument("--out", help="output directory (required)")
+    s.add_argument("--grid-start", default=0.01, type=_POS_FLOAT, help="variance grid start")
+    s.add_argument("--grid-stop", default=1.00, type=_POS_FLOAT, help="variance grid stop")
+    s.add_argument("--grid-step", default=0.01, type=_POS_FLOAT, help="variance grid step")
+    s.add_argument("--samples", default=50, type=_POS_INT,
+                   help="weight perturbations per grid point")
+    s.add_argument("--tolerance", default=0.02, type=_NONNEG_FLOAT,
+                   help="max mean accuracy drop")
+    s.add_argument("--eval-subset", default=2048, type=_POS_INT, help="evaluation subset size")
+    # the type converts config-file text; the bare flag stores True
+    s.add_argument("--full-scan", action="store_true",
+                   help="scan the whole grid instead of stopping at the first violation"
+                   ).type = _TRUE_FALSE
+    _seed_opt(s)
 
-    c = _Cmd(sub, "certify", "certify per-sample L2 radii by Monte-Carlo voting")
+    c = command("certify", "certify per-sample L2 radii by Monte-Carlo voting", _cmd_certify)
     _dataset_opts(c)
-    c.opt("--checkpoint", default=None, type=str, help="model checkpoint (required)")
-    c.opt("--out", default=None, type=str, help="output directory (required)")
-    c.opt("--sigma2", default=None, type=float, help="noise variance (required)")
-    c.opt("--sigma-weight2", default=None, type=float,
-          help="weight-noise variance (defaults to --sigma2)")
-    c.opt("--n0", default=100, type=int, help="selection votes per sample")
-    c.opt("--n", default=100000, type=int, help="estimation votes per sample")
-    c.opt("--alpha", default=0.001, type=float, help="confidence bound failure probability")
-    c.opt("--workers", default=1, type=int, help="parallel certification workers")
-    c.opt("--radius-max", default=2.0, type=float, help="curve grid maximum radius")
-    c.opt("--radius-step", default=0.01, type=float, help="curve grid step")
-    c.opt("--seed", default=env_seed, type=int, help="base seed (env SMOOTHCERT_SEED fallback)")
-    c.parser.set_defaults(_run=_cmd_certify)
+    c.add_argument("--checkpoint", help="model checkpoint (required)")
+    c.add_argument("--out", help="output directory (required)")
+    c.add_argument("--sigma2", type=_POS_FLOAT, help="noise variance (required)")
+    c.add_argument("--sigma-weight2", type=_NONNEG_FLOAT,
+                   help="weight-noise variance (defaults to --sigma2)")
+    c.add_argument("--n0", default=100, type=_POS_INT, help="selection votes per sample")
+    c.add_argument("--n", default=100000, type=_POS_INT, help="estimation votes per sample")
+    c.add_argument("--alpha", default=0.001, type=_PROB,
+                   help="confidence bound failure probability")
+    c.add_argument("--workers", default=1, type=_POS_INT, help="parallel certification workers")
+    c.add_argument("--radius-max", default=2.0, type=_NONNEG_FLOAT,
+                   help="curve grid maximum radius")
+    c.add_argument("--radius-step", default=0.01, type=_POS_FLOAT, help="curve grid step")
+    _seed_opt(c)
 
-    b = _Cmd(sub, "bound", "evaluate the generalization bound for a checkpoint")
+    b = command("bound", "evaluate the generalization bound for a checkpoint", _cmd_bound)
     _dataset_opts(b)
-    b.opt("--checkpoint", default=None, type=str, help="model checkpoint (required)")
-    b.opt("--out", default=None, type=str, help="output directory (required)")
-    b.opt("--gamma", default=None, type=float, help="margin (required, > 0)")
-    b.opt("--delta", default=0.05, type=float, help="confidence level")
-    b.opt("--h", default=0, type=int, help="hidden width override (0 = max hidden dim)")
-    b.opt("--margin-votes", default=200, type=int, help="votes per example for the margin loss")
-    b.opt("--margin-subset", default=1024, type=int, help="examples for the margin loss")
-    b.opt("--empirical-loss", default=None, type=float,
-          help="skip estimation and use this empirical margin loss")
-    b.opt("--pa", default=None, type=float, help="vote probability lower bound (with --pb)")
-    b.opt("--pb", default=None, type=float, help="runner-up upper bound (with --pa)")
-    b.opt("--seed", default=env_seed, type=int, help="base seed (env SMOOTHCERT_SEED fallback)")
-    b.parser.set_defaults(_run=_cmd_bound)
+    b.add_argument("--checkpoint", help="model checkpoint (required)")
+    b.add_argument("--out", help="output directory (required)")
+    b.add_argument("--gamma", type=_POS_FLOAT, help="margin (required, > 0)")
+    b.add_argument("--delta", default=0.05, type=_PROB, help="confidence level")
+    b.add_argument("--h", default=0, type=_NONNEG_INT,
+                   help="hidden width override (0 = max hidden dim)")
+    b.add_argument("--margin-votes", default=200, type=_POS_INT,
+                   help="votes per example for the margin loss")
+    b.add_argument("--margin-subset", default=1024, type=_POS_INT,
+                   help="examples for the margin loss")
+    b.add_argument("--empirical-loss", type=_UNIT,
+                   help="skip estimation and use this empirical margin loss")
+    b.add_argument("--pa", type=_UNIT, help="vote probability lower bound (with --pb)")
+    b.add_argument("--pb", type=_UNIT, help="runner-up upper bound (with --pa)")
+    _seed_opt(b)
 
-    r = _Cmd(sub, "report", "merge certification runs into one plot and table")
-    r.positional("dirs", nargs="+", help="certify output directories")
-    r.opt("--out", default=None, type=str, help="output directory (required)")
-    r.parser.set_defaults(_run=_cmd_report)
+    r = command("report", "merge certification runs into one plot and table", _cmd_report)
+    r.add_argument("dirs", nargs="+", help="certify output directories")
+    r.add_argument("--out", help="output directory (required)")
 
     return parser
 
@@ -540,22 +513,21 @@ _REQUIRED = {
 def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    cmd: _Cmd = ns._cmd
-    cfg = cmd.resolve(ns)
-    for key in _REQUIRED[cmd.name]:
-        if cfg.get(key) is None:
-            cmd.parser.error(f"--{key.replace('_', '-')} is required "
-                             f"(flag or config file)")
-    if cmd.name == "certify" and not (0.0 < cfg["radius_step"] < math.inf
-                                      and 0.0 <= cfg["radius_max"] < math.inf):
-        cmd.parser.error("--radius-step must be positive and --radius-max non-negative, "
-                         "both finite")
+    sub: argparse.ArgumentParser = ns._parser
+    if ns.config is not None:
+        # config text becomes the defaults; parsing again converts and checks it
+        sub.set_defaults(**_read_config(sub, ns.config))
+        ns = parser.parse_args(argv)
+    cfg = {k: v for k, v in vars(ns).items() if not k.startswith("_")}
+    for key in _REQUIRED[ns.command]:
+        if cfg[key] is None:
+            sub.error(f"--{key} is required (flag or config file)")
     if bool(cfg.get("images")) != bool(cfg.get("labels")):
-        cmd.parser.error("--images and --labels must be supplied together")
+        sub.error("--images and --labels must be supplied together")
     for key in ("images", "labels", "checkpoint"):
         val = cfg.get(key)
         if val and not Path(val).exists():
-            cmd.parser.error(f"--{key}: no such file: {val}")
+            sub.error(f"--{key}: no such file: {val}")
     try:
         return ns._run(cfg)
     except (ValueError, OSError, RuntimeError, FloatingPointError) as e:

@@ -16,6 +16,7 @@ at the model boundary: datasets here store raw inputs.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,7 +216,8 @@ def save_checkpoint(path, model: MlpModel, meta: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
     """Read a checkpoint back, bit-exactly; rejects bad magic, future
-    versions, dim mismatches, non-finite weights and trailing garbage."""
+    versions, dims that disagree with the file size (checked before any
+    layer is read), non-finite weights and trailing garbage."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -235,14 +237,19 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
             or any(not isinstance(v, int) or v < 1 for v in dims)
         ):
             raise ValueError(f"corrupt checkpoint dims {dims!r}")
+        # compare the declared payload with the file before allocating any of it
+        declared = 8 * sum(a * b for a, b in zip(dims, dims[1:]))
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left < declared:
+            raise ValueError(f"truncated checkpoint: header declares {declared} "
+                             f"weight bytes, {left} follow")
+        if left > declared:
+            raise ValueError(f"trailing bytes after the last layer ({left - declared})")
         layers = []
         for i in range(len(dims) - 1):
-            n = dims[i + 1] * dims[i]
-            raw = _read_exact(f, n * 8, f"layer {i}")
+            raw = f.read(8 * dims[i + 1] * dims[i])
             layer = np.frombuffer(raw, dtype="<f8").reshape(dims[i + 1], dims[i])
             if not np.isfinite(layer).all():
                 raise ValueError(f"non-finite weights in layer {i}")
             layers.append(layer)
-        if f.read(1):
-            raise ValueError("trailing bytes after the last layer")
     return MlpModel(tuple(layers)), header.get("meta", {})

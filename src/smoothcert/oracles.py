@@ -3,7 +3,7 @@ validate the fast paths, plus an empirical attack on certified radii.
 
 Nothing here shares numeric kernels with the modules it checks beyond the
 plain float64 array type: eigenvalues come from classical Jacobi rotations
-(not power iteration), binomial tails from exact extended-precision
+(not the LAPACK SVD), binomial tails from exact extended-precision
 summation (not the incomplete beta), output correlations from Monte-Carlo
 sampling (not the analytic cosine identity), votes from a fresh full
 weight-noise matrix per draw (not the projected sampler), and certified radii

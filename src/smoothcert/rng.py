@@ -22,7 +22,6 @@ PHASE_ESTIMATION = 5
 PHASE_MARGIN = 6
 PHASE_SIGMA = 7
 PHASE_ATTACK = 8
-PHASE_POWER = 9
 PHASE_SYNTH = 10
 PHASE_EVAL = 11
 PHASE_CORR = 12

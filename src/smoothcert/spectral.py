@@ -12,50 +12,24 @@ comes from the infinity norm of the Gram matrix (a Gershgorin-style bound).
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
-from . import rng
 from .nn import Gradients, Matrix, MlpModel, _as_f64
 
-logger = logging.getLogger(__name__)
 
+def spectral_norm(m: Matrix) -> float:
+    """Largest singular value, from an SVD.
 
-def spectral_norm(m: Matrix, tol: float = 1e-10, max_iters: int = 10000, seed: int = 0) -> float:
-    """Largest singular value via power iteration on m^T m.
-
-    Deterministic given ``seed`` (the start vector is drawn from a derived
-    stream).  Stops when the estimate's relative change is <= ``tol``; if
-    ``max_iters`` is exhausted first, the best estimate is returned and a
-    warning is logged.
+    Exact rather than iterative: ``psi`` falls as a spectral norm rises, so
+    an estimate that reads low would make the bound optimistic.
     """
     m = _as_f64(m)
     if not np.any(m):
         raise ValueError("spectral_norm of an all-zero matrix")
-    g = rng.stream(seed, rng.PHASE_POWER)
-    v = g.standard_normal(m.shape[1])
-    for _ in range(8):
-        mv = m @ v
-        if np.linalg.norm(mv) > 0.0:
-            break
-        v = g.standard_normal(m.shape[1])  # start vector was in the null space
-    sigma = np.linalg.norm(mv)
-    for _ in range(max_iters):
-        w = m.T @ mv
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return float(sigma)
-        v = w / nw
-        mv = m @ v
-        new_sigma = np.linalg.norm(mv)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, np.finfo(np.float64).tiny):
-            return float(new_sigma)
-        sigma = new_sigma
-    logger.warning("power iteration did not converge in %d iterations", max_iters)
-    return float(sigma)
+    return float(np.linalg.norm(m, 2))
 
 
 def collapsed_weight(model: MlpModel) -> Matrix:
@@ -192,11 +166,11 @@ class SpectralReport:
         return mean_abs_offdiag(self.cosine_matrix)
 
 
-def spectral_report(model: MlpModel, tol: float = 1e-10, seed: int = 0) -> SpectralReport:
+def spectral_report(model: MlpModel) -> SpectralReport:
     """Assemble the full spectral diagnostics for a model."""
 
     def _norm(m: Matrix) -> float:  # all-zero matrices report norm 0 here
-        return spectral_norm(m, tol=tol, seed=seed) if np.any(m) else 0.0
+        return spectral_norm(m) if np.any(m) else 0.0
 
     per_spec = tuple(_norm(w) for w in model.layers)
     per_frob = tuple(float(np.linalg.norm(w)) for w in model.layers)

@@ -5,13 +5,21 @@ stdout can be checked directly, and one trained checkpoint is shared
 across the subcommand tests.
 """
 
+import argparse
 import csv
 import json
+import os
+import shlex
+import struct
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from smoothcert import cli, data
 
@@ -182,10 +190,13 @@ def test_certify_workers_deterministic(checkpoint, tmp_path):
     assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
 
 
-def test_certify_bad_sigma2_exits_1(checkpoint, tmp_path, capsys):
-    rc = cli.main(certify_args(checkpoint, tmp_path / "x", sigma2="-1.0"))
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+def test_certify_bad_sigma2_usage_error(checkpoint, tmp_path, capsys):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as e:
+        cli.main(certify_args(checkpoint, out, sigma2="-1.0"))
+    assert e.value.code == 2
+    assert "--sigma2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_dim_mismatch_exits_1(checkpoint, tmp_path, capsys):
@@ -227,6 +238,20 @@ def test_certify_non_finite_checkpoint_exits_1(checkpoint, tmp_path, capsys):
     assert not (out / "samples.csv").exists()
 
 
+def test_certify_oversized_checkpoint_header_exits_1(checkpoint, tmp_path, capsys):
+    # the header promises 8 TiB of weights; the loader must refuse before
+    # allocating them, and the CLI must report it as a runtime error
+    header = json.dumps({"version": data.CHECKPOINT_VERSION,
+                         "dims": [2**20, 2**20], "meta": {}}).encode()
+    bad = tmp_path / "huge.smcert"
+    bad.write_bytes(data.CHECKPOINT_MAGIC + struct.pack("<I", len(header))
+                    + header + bytes(64))
+    out = tmp_path / "x"
+    assert cli.main(certify_args(str(bad), out)) == 1
+    assert "error: truncated checkpoint" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+
+
 # ---------------------------------------------------------------- bound ---
 
 
@@ -263,11 +288,14 @@ def test_bound_explicit_loss_and_eps_x(checkpoint, tmp_path):
     assert rep["eps_x"] > 0.0
 
 
-def test_bound_gamma_zero_exits_1(checkpoint, tmp_path, capsys):
-    rc = cli.main(["bound", "--checkpoint", checkpoint,
-                   "--out", str(tmp_path / "b"), *DATA_FLAGS, "--gamma", "0.0"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+def test_bound_gamma_zero_usage_error(checkpoint, tmp_path, capsys):
+    out = tmp_path / "b"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["bound", "--checkpoint", checkpoint,
+                  "--out", str(out), *DATA_FLAGS, "--gamma", "0.0"])
+    assert e.value.code == 2
+    assert "--gamma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bound_scaled_layer_moves_psi_and_phi(checkpoint, tmp_path):
@@ -483,3 +511,148 @@ def test_module_entry_point_help():
     for token in ("--noise-variance", "0.12", "--momentum", "0.9",
                   "--batch-size", "256"):
         assert token in res.stdout
+
+
+# ------------------------------------------ value checks before any work ---
+
+
+def _valid_argv(command, checkpoint, out):
+    """A valid, cheap invocation of ``command``."""
+    if command == "certify":
+        return certify_args(checkpoint, out)
+    return {
+        "train": ["train", *DATA_FLAGS, "--hidden", "4", "--epochs", "1"],
+        "sigma": ["sigma", "--checkpoint", checkpoint, *DATA_FLAGS, "--grid-stop", "0.02",
+                  "--samples", "2", "--eval-subset", "16"],
+        "bound": ["bound", "--checkpoint", checkpoint, *DATA_FLAGS, "--gamma", "0.5",
+                  "--margin-votes", "4", "--margin-subset", "8"],
+    }[command] + ["--out", str(out)]
+
+
+_DATASET_BAD = [("synth-k", "0"), ("synth-d", "-1"), ("synth-m", "0"),
+                ("synth-spread", "-0.1"), ("synth-spread", "inf"), ("synth-seed", "-1"),
+                ("max-samples", "-5"), ("seed", "-1")]
+_BAD_VALUES = [(cmd, flag, value) for cmd in ("train", "sigma", "certify", "bound")
+               for flag, value in _DATASET_BAD] + [
+    ("train", "hidden", "8,0"), ("train", "epochs", "0"), ("train", "batch-size", "0"),
+    ("train", "lr", "0"), ("train", "lr", "nan"), ("train", "lr-drops", "0:10"),
+    ("train", "lr-drops", "10:0"), ("train", "momentum", "1.0"), ("train", "momentum", "-0.1"),
+    ("train", "weight-decay", "-1e-4"), ("train", "noise-variance", "-0.12"),
+    ("train", "alpha", "-0.1"),
+    ("sigma", "grid-start", "0"), ("sigma", "grid-stop", "-1"), ("sigma", "grid-step", "0"),
+    ("sigma", "samples", "0"), ("sigma", "tolerance", "-0.01"), ("sigma", "eval-subset", "0"),
+    ("certify", "sigma2", "nan"), ("certify", "sigma2", "0"), ("certify", "sigma-weight2", "-0.01"),
+    ("certify", "n0", "0"), ("certify", "n", "0"), ("certify", "alpha", "1.5"),
+    ("certify", "alpha", "0"), ("certify", "workers", "-3"), ("certify", "workers", "0"),
+    ("certify", "radius-max", "-1"), ("certify", "radius-step", "0"),
+    ("bound", "gamma", "0"), ("bound", "delta", "1"), ("bound", "h", "-1"),
+    ("bound", "margin-votes", "0"), ("bound", "margin-subset", "0"),
+    ("bound", "empirical-loss", "1.5"), ("bound", "pa", "-0.1"), ("bound", "pb", "2"),
+]
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_bad_value_table_covers_every_checked_option():
+    not_numeric = {None, str, cli._SYNTH_KIND, cli._TRUE_FALSE}
+    for name, sub in _subcommands().items():
+        checked = {a.option_strings[0][2:] for a in sub._actions
+                   if a.option_strings and a.type not in not_numeric}
+        tabled = {flag for cmd, flag, _ in _BAD_VALUES if cmd == name}
+        assert checked == tabled, name
+
+
+@pytest.mark.parametrize("command,flag,value", _BAD_VALUES)
+def test_out_of_range_value_usage_error(checkpoint, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as e:
+        cli.main([*_valid_argv(command, checkpoint, out), f"--{flag}", value])
+    assert e.value.code == 2
+    assert f"--{flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_env_seed_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("SMOOTHCERT_SEED", "abc")
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["train", "--out", str(out), *DATA_FLAGS, "--epochs", "1"])
+    assert e.value.code == 2
+    assert not out.exists()
+    # an explicit --seed never consults the environment
+    assert cli.main(["train", "--out", str(out), *DATA_FLAGS, "--hidden", "4",
+                     "--epochs", "1", "--seed", "1"]) == 0
+    for argv in (["--help"], ["train", "--help"]):
+        res = subprocess.run([sys.executable, "-m", "smoothcert.cli", *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def _run_in(directory, argv, out):
+    """Run argv with ``directory`` as the working directory; returns the exit
+    code and the run's config.json without its ``config`` entry."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        code = _exit_code(argv)
+        cfg_path = Path(out) / "config.json"
+        cfg = json.loads(cfg_path.read_text()) if code == 0 else None
+    finally:
+        os.chdir(cwd)
+    if cfg is not None:
+        cfg.pop("config")
+    return code, cfg
+
+
+_PROPERTY_KEYS = [(name, a.dest) for name, sub in _subcommands().items()
+                  if name in ("train", "certify")
+                  for a in sub._actions if a.option_strings and a.dest not in ("help", "config")]
+_TOKENS = ["0", "1", "2", "3", "-3", "0001", "0.5", "1.5", "1e-3", "nan", "inf", "-inf",
+           "true", "false", "abc", "", "digits", "blobs", "4,4", "1:2"]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(option=st.sampled_from(_PROPERTY_KEYS), value=st.sampled_from(_TOKENS))
+@example(option=("train", "epochs"), value="true")
+@example(option=("train", "out"), value="0001")
+def test_config_value_matches_flag(checkpoint, option, value):
+    # ``--key V`` and a config line ``key = V`` exit alike and, on success,
+    # resolve to the same configuration
+    command, key = option
+    flag = "--" + key.replace("_", "-")
+    base = _valid_argv(command, checkpoint, "run")  # checkpoint is an absolute path
+    if flag in base:
+        i = base.index(flag)
+        del base[i:i + 2]
+    out = value if key == "out" else "run"
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        Path(b, "run.cfg").write_text(f"{key} = {value}\n", encoding="utf-8")
+        by_flag = _run_in(a, [*base, flag, value], out)
+        by_file = _run_in(b, [*base, "--config", "run.cfg"], out)
+    assert by_flag == by_file
+
+
+def test_readme_quickstart_commands_parse():
+    # parse (never run) every command in the README's CLI quickstart, so a
+    # renamed or removed flag in the docs fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI quickstart", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [c for c in commands if c]
+    assert [c[1] for c in commands] == ["train", "sigma", "certify", "bound", "report"]
+    parser = cli._build_parser()
+    for c in commands:
+        assert c[0] == "smoothcert"
+        parser.parse_args(c[1:])

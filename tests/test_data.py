@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -207,9 +208,18 @@ def test_checkpoint_rejects_truncation(tmp_path):
         data.load_checkpoint(path)
 
 
-def test_checkpoint_rejects_future_version(tmp_path):
-    import json
+def test_checkpoint_rejects_dims_larger_than_file(tmp_path):
+    # 2^40 declared weights behind 64 bytes: refused before allocating them
+    header = json.dumps({"version": data.CHECKPOINT_VERSION,
+                         "dims": [2**20, 2**20], "meta": {}}).encode()
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(data.CHECKPOINT_MAGIC + struct.pack("<I", len(header))
+                     + header + bytes(64))
+    with pytest.raises(ValueError, match="truncated checkpoint: header declares 8796093022208"):
+        data.load_checkpoint(path)
 
+
+def test_checkpoint_rejects_future_version(tmp_path):
     path = tmp_path / "m.ckpt"
     model = MlpModel((np.ones((2, 3)),))
     data.save_checkpoint(path, model)

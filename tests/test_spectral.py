@@ -39,7 +39,19 @@ def test_spectral_norm_vs_jacobi_oracle():
 
 def test_spectral_norm_deterministic():
     m = rng.stream(13, 98).standard_normal((20, 7))
-    assert spectral_norm(m, seed=3) == spectral_norm(m, seed=3)
+    assert spectral_norm(m) == spectral_norm(m)
+
+
+def test_spectral_norm_exact_with_close_top_singular_values():
+    # a 0.999 gap between the top two singular values stalls power iteration
+    # well short of the true norm; the result must not read low
+    g = rng.stream(13, 97)
+    u, _ = np.linalg.qr(g.standard_normal((32, 32)))
+    v, _ = np.linalg.qr(g.standard_normal((785, 32)))
+    s = np.linspace(0.1, 0.999, 32)
+    s[-1] = 1.0
+    m = (u * s) @ v.T
+    assert spectral_norm(m) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_spectral_norm_rejects_zero_matrix():
