@@ -524,6 +524,13 @@ def main(argv=None) -> int:
             sub.error(f"--{key} is required (flag or config file)")
     if bool(cfg.get("images")) != bool(cfg.get("labels")):
         sub.error("--images and --labels must be supplied together")
+    if ns.command == "sigma" and cfg["grid_start"] > cfg["grid_stop"]:
+        sub.error("--grid-start must not exceed --grid-stop")
+    if ns.command == "bound":
+        if (cfg["pa"] is None) != (cfg["pb"] is None):
+            sub.error("--pa and --pb must be supplied together")
+        if cfg["pa"] is not None and cfg["pa"] < cfg["pb"]:
+            sub.error("--pa must be at least --pb")
     for key in ("images", "labels", "checkpoint"):
         val = cfg.get(key)
         if val and not Path(val).exists():

@@ -12,6 +12,7 @@ The ReLU derivative at exactly 0 is taken to be 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +70,26 @@ class MlpModel:
 
     def with_layers(self, layers: Sequence[Matrix]) -> "MlpModel":
         return MlpModel(tuple(layers))
+
+    @cached_property
+    def row_basis(self) -> tuple[Matrix, Matrix] | None:
+        """Orthonormal basis ``Q`` (d, h) of the first layer's row space, and
+        ``W0 @ Q`` with one zero column appended, or None when the first
+        layer has at least as many rows as columns.
+
+        ``W0 z`` depends on ``z`` only through ``Q.T @ z``; the zero column
+        stands for one more direction orthogonal to that space, which ``W0``
+        maps to zero.  Computed on first use and kept, since the layers
+        never change.
+        """
+        w = self.layers[0]
+        if w.shape[0] >= w.shape[1]:
+            return None
+        q = np.linalg.qr(w.T)[0]
+        p = np.zeros((w.shape[0], q.shape[1] + 1))
+        p[:, :-1] = w @ q
+        q.flags.writeable = p.flags.writeable = False
+        return q, p
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ plain float64 array type: eigenvalues come from classical Jacobi rotations
 (not the LAPACK SVD), binomial tails from exact extended-precision
 summation (not the incomplete beta), output correlations from Monte-Carlo
 sampling (not the analytic cosine identity), votes from a fresh full
-weight-noise matrix per draw (not the projected sampler), and certified radii
-are probed by exhaustively re-voting on a perturbation grid.
+weight-noise matrix and all d input coordinates per draw (not the projected,
+row-space sampler), and certified radii are probed by exhaustively re-voting
+on a perturbation grid.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def reference_votes(
     and every weight matrix with a fresh full ``N(0, sigma_weight^2)``
     matrix, then takes the argmax (ties to the lowest index) of the
     perturbed network.  Slow, but it draws from the distribution that the
-    projected sampler in ``smoothing`` claims to reproduce.
+    row-space, projected sampler in ``smoothing`` claims to reproduce.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.in_dim,):

@@ -18,6 +18,16 @@ fresh full weight-noise matrix, at a fraction of the random numbers.
 ``oracles.reference_votes`` does the latter, literally, as an independent
 check.
 
+Input noise is drawn in the first layer's row space.  That layer sees the
+noisy input ``z`` only through ``W0 z`` and ``||z||``, so for a first
+layer of ``h < d`` rows a vote needs ``h + 1`` normals (the row-space
+coordinates of ``z`` and its coordinate along ``x``'s out-of-span part) and
+one chi-square with ``d - h - 1`` degrees of freedom for the squared norm
+of the rest: the same joint distribution as ``d`` fresh normals.  Per
+chunk the draws come in this order: those input normals, the chi-square,
+then each layer's weight noise.  A first layer with ``h >= d`` rows draws
+all ``d`` input coordinates directly.
+
 Sampling is deterministic given the model, input, and stream: identical
 seeds reproduce identical votes bit-for-bit.  Non-finite inputs or weights
 are rejected rather than voted on.  Ties in the vote argmax always break to
@@ -98,8 +108,13 @@ class CertifyResult:
 def _noisy_logits(model, x, noise: NoiseConfig, num: int, g: np.random.Generator):
     """Yield chunks of logits of the jointly-perturbed network at x.
 
-    Draw order per chunk is fixed (input noise, then each layer's weight
-    noise in order) so identical streams reproduce identical logits.
+    With ``(Q, P) = model.row_basis``, ``x`` has the coordinates
+    ``c = (Q.T x, ||x - Q Q.T x||)``; a vote draws ``Y = c + sigma_input *
+    N(0, I)``, so ``W0 z = P Y`` and ``||z||^2 = ||Y||^2 + sigma_input^2 *
+    chi2(d - len(c))``.  Without a basis ``c = x`` and ``P = W0``.  The
+    chi-square is drawn only when weight noise needs ``||z||``.  Draw order
+    per chunk is fixed (input normals, the chi-square, then each layer's
+    weight noise in order) so identical streams reproduce identical logits.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.in_dim:
@@ -112,21 +127,45 @@ def _noisy_logits(model, x, noise: NoiseConfig, num: int, g: np.random.Generator
         raise ValueError("model has non-finite weights")
     si = float(noise.sigma_input)
     sw = float(noise.resolved_sigma_weight)
-    last = model.n_layers - 1
+    if model.row_basis is None:
+        c, p = x, model.layers[0]
+    else:
+        q, p = model.row_basis
+        c = x @ q
+        c = np.append(c, np.linalg.norm(x - q @ c))
+    rest = x.shape[0] - c.shape[0]  # chi-square degrees of freedom
     done = 0
     while done < num:
         b = min(_CHUNK, num - done)
         done += b
         if si > 0.0:
-            Z = x[None, :] + si * g.standard_normal((b, x.shape[0]))
+            Y = g.standard_normal((b, c.shape[0]))
+            Y *= si
+            Y += c
         else:
-            Z = np.broadcast_to(x, (b, x.shape[0]))
-        for i, w in enumerate(model.layers):
+            Y = np.broadcast_to(c, (b, c.shape[0]))
+        Z = Y @ p.T
+        if sw > 0.0:
+            sq = np.square(Y).sum(axis=1)
+            if rest and si > 0.0:
+                sq += si * si * g.chisquare(rest, b)
+            _add_weight_noise(Z, sw * np.sqrt(sq), g)
+        del Y
+        for w in model.layers[1:]:
+            np.maximum(Z, 0.0, out=Z)
             A = Z @ w.T
             if sw > 0.0:
-                A += sw * np.linalg.norm(Z, axis=1)[:, None] * g.standard_normal((b, w.shape[0]))
-            Z = np.maximum(A, 0.0) if i != last else A
+                _add_weight_noise(A, sw * np.linalg.norm(Z, axis=1), g)
+            Z = A
         yield Z
+
+
+def _add_weight_noise(A, scale, g: np.random.Generator) -> None:
+    """A += scale[:, None] * e with e ~ N(0, I), in place: the projected
+    weight noise of a layer whose input rows have norms ``scale / sigma``."""
+    e = g.standard_normal(A.shape)
+    e *= scale[:, None]
+    A += e
 
 
 def sample_under_noise(

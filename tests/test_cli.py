@@ -183,11 +183,17 @@ def test_certify_rerun_identical_bytes(checkpoint, tmp_path):
 
 
 def test_certify_workers_deterministic(checkpoint, tmp_path):
-    a, b = tmp_path / "w1", tmp_path / "w2"
+    # the shared checkpoint's first layer (8 rows, 7 inputs) draws every input
+    # coordinate; a 4-row first layer draws in its row space
+    narrow = tmp_path / "narrow"
+    assert cli.main(["train", "--out", str(narrow), *DATA_FLAGS,
+                     "--hidden", "4", "--epochs", "2", "--seed", "0"]) == 0
     small = {"max-samples": "8", "n": "100"}
-    assert cli.main(certify_args(checkpoint, a, **small)) == 0
-    assert cli.main(certify_args(checkpoint, b, workers="2", **small)) == 0
-    assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
+    for i, ckpt in enumerate((checkpoint, str(narrow / "checkpoint.smcert"))):
+        a, b = tmp_path / f"w1-{i}", tmp_path / f"w2-{i}"
+        assert cli.main(certify_args(ckpt, a, **small)) == 0
+        assert cli.main(certify_args(ckpt, b, workers="2", **small)) == 0
+        assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
 
 
 def test_certify_bad_sigma2_usage_error(checkpoint, tmp_path, capsys):
@@ -548,6 +554,10 @@ _BAD_VALUES = [(cmd, flag, value) for cmd in ("train", "sigma", "certify", "boun
     ("bound", "gamma", "0"), ("bound", "delta", "1"), ("bound", "h", "-1"),
     ("bound", "margin-votes", "0"), ("bound", "margin-subset", "0"),
     ("bound", "empirical-loss", "1.5"), ("bound", "pa", "-0.1"), ("bound", "pb", "2"),
+    # relations between options (the valid sigma argv has --grid-stop 0.02);
+    # a value holding spaces is several argv words
+    ("sigma", "grid-start", "0.5"), ("bound", "pa", "0.2 --pb 0.6"), ("bound", "pa", "0.5"),
+    ("bound", "pb", "0.5"),
 ]
 
 
@@ -570,7 +580,7 @@ def test_bad_value_table_covers_every_checked_option():
 def test_out_of_range_value_usage_error(checkpoint, tmp_path, capsys, command, flag, value):
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as e:
-        cli.main([*_valid_argv(command, checkpoint, out), f"--{flag}", value])
+        cli.main([*_valid_argv(command, checkpoint, out), f"--{flag}", *value.split(" ")])
     assert e.value.code == 2
     assert f"--{flag}" in capsys.readouterr().err
     assert not out.exists()

@@ -64,6 +64,19 @@ def test_forward_batch_matches_single(tiny_model):
         assert np.allclose(logits[i], forward(tiny_model, X[i]), atol=0, rtol=1e-14)
 
 
+def test_row_basis_spans_first_layer_rows():
+    m = rand_model((9, 4, 3), seed=5)
+    q, p = m.row_basis
+    w = m.layers[0]
+    assert q.shape == (9, 4) and p.shape == (4, 5)
+    assert np.allclose(q.T @ q, np.eye(4), atol=1e-14)
+    assert np.allclose(w @ q @ q.T, w, atol=1e-14)  # W0 sees only Q.T z
+    assert np.allclose(p[:, :4], w @ q, atol=0) and not p[:, 4].any()
+    assert m.row_basis is m.row_basis  # computed once per model
+    assert rand_model((4, 4, 3)).row_basis is None
+    assert rand_model((3, 5)).row_basis is None
+
+
 # ---------------------------------------------------------------- backward
 
 def test_backward_zero_upstream_gives_zero_grads(tiny_model):

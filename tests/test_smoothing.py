@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 from scipy.special import betainc
+from scipy.stats import norm
 
 from smoothcert import rng
 from smoothcert.nn import MlpModel, forward
@@ -81,22 +83,34 @@ def test_symmetric_input_splits_votes_in_binomial_band():
     assert abs(votes.counts[0] - num / 2.0) <= band
 
 
+def _agreement_cases():
+    # (4, 4, 3) samples every input coordinate; the 12-input models sample in
+    # the first layer's row space, and their x sits as far outside that space
+    # as inside it, so the chi-square part of ||z|| carries real weight
+    yield rand_model((4, 4, 3), seed=2), 0.3 * np.ones(4)
+    for dims, seed in (((12, 3, 3), 3), ((12, 2), 4)):
+        model = rand_model(dims, seed=seed)
+        w = model.layers[0]
+        inside = w[0] - w[1]
+        outside = null_space(w)[:, 0]
+        yield model, 2.0 * inside / np.linalg.norm(inside) + 2.0 * outside
+
+
 def test_sampler_modes_agree_statistically():
-    # the projected sampler and a fresh full weight-noise matrix per vote
-    # draw from the same distribution: every class's vote share must agree
-    # within 5 standard errors of a difference of proportions (and 0.05)
-    model = rand_model((4, 4, 3), seed=2)
-    x = 0.3 * np.ones(4)
+    # the sampler and a fresh full weight-noise matrix per vote draw from the
+    # same distribution: every class's vote share must agree within 5
+    # standard errors of a difference of proportions (and 0.05)
     num = 20_000
-    for si, sw in ((0.2, 0.2), (1.0, 0.5)):
-        noise = NoiseConfig(sigma_input=si, sigma_weight=sw)
-        fast = sample_under_noise(model, x, num, noise, rng.stream(5))
-        slow = reference_votes(model, x, num, noise, rng.stream(6))
-        assert fast.draws == slow.draws == num
-        for a, b in zip(fast.counts, slow.counts):
-            pooled = (a + b) / (2.0 * num)
-            se = math.sqrt(2.0 * pooled * (1.0 - pooled) / num)
-            assert abs(a - b) / num <= min(0.05, 5.0 * se)
+    for model, x in _agreement_cases():
+        for si, sw in ((0.2, 0.2), (1.0, 0.5), (0.0, 0.5), (0.5, 0.0)):
+            noise = NoiseConfig(sigma_input=si, sigma_weight=sw)
+            fast = sample_under_noise(model, x, num, noise, rng.stream(5))
+            slow = reference_votes(model, x, num, noise, rng.stream(6))
+            assert fast.draws == slow.draws == num
+            for a, b in zip(fast.counts, slow.counts):
+                pooled = (a + b) / (2.0 * num)
+                se = math.sqrt(2.0 * pooled * (1.0 - pooled) / num)
+                assert abs(a - b) / num <= min(0.05, 5.0 * se), (model.dims, si, sw)
 
 
 def test_sample_under_noise_validates():
@@ -266,6 +280,31 @@ def test_certify_validates_alpha(tiny_model):
     noise = NoiseConfig(sigma_input=0.4)
     with pytest.raises(ValueError):
         certify(tiny_model, np.zeros(6), noise, alpha=0.0)
+
+
+def test_certify_lower_bound_covers_exact_vote_probability():
+    # a two-class linear model under input noise alone votes for class 0 with
+    # probability exactly Phi((w0 - w1).x / (sigma ||w0 - w1||)); certify's
+    # pa_lower may exceed the guessed class's probability in at most an alpha
+    # share of independent seeds (plus 3 binomial SD).  d = 8 > 2 inputs, so
+    # the votes are drawn in the first layer's row space.
+    model = rand_model((8, 2), seed=31)
+    w = model.layers[0]
+    diff = w[0] - w[1]
+    sigma, alpha, seeds, n = 0.5, 0.05, 2000, 500
+    x = 0.42 * diff / np.linalg.norm(diff) + 1.5 * null_space(w)[:, 0]
+    p0 = float(norm.cdf(diff @ x / (sigma * np.linalg.norm(diff))))
+    misses = class0_votes = 0
+    for seed in range(seeds):
+        noise = NoiseConfig(sigma_input=sigma, sigma_weight=0.0, base_seed=seed)
+        res = certify(model, x, noise, n_selection=10, n_estimation=n, alpha=alpha)
+        p_true = p0 if res.selection.top() == 0 else 1.0 - p0
+        misses += res.pa_lower > p_true
+        class0_votes += res.estimation.counts[0]
+    assert misses / seeds <= alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / seeds)
+    # the vote share itself matches the exact probability within 5 SE
+    total = seeds * n
+    assert abs(class0_votes / total - p0) <= 5.0 * math.sqrt(p0 * (1.0 - p0) / total)
 
 
 # ------------------------------------------------------------ margin loss
