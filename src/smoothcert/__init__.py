@@ -28,7 +28,7 @@ from .data import (
     synth_blobs,
     synth_digits,
 )
-from .nn import Gradients, MlpModel, SgdState, forward, init_model
+from .nn import Gradients, MlpModel, SgdState, init_model
 from .oracles import (
     AttackReport,
     binomial_tail,
@@ -49,16 +49,13 @@ from .smoothing import (
     certify,
     empirical_margin_loss,
     lower_conf_bound,
-    majority_vote_predict,
     sample_under_noise,
-    smoothed_accuracy,
 )
 from .spectral import (
     SpectralReport,
     collapsed_weight,
     correlation_matrix,
     gershgorin_bound,
-    l11_norm,
     regularizer_and_gradient,
     spectral_norm,
     spectral_report,
@@ -97,18 +94,15 @@ __all__ = [
     "eps_x",
     "evaluate",
     "evaluate_bound",
-    "forward",
     "generalization_bound",
     "gershgorin_bound",
     "grid_attack",
     "init_model",
     "jacobi_eigs",
     "kl_term",
-    "l11_norm",
     "load_checkpoint",
     "load_idx",
     "lower_conf_bound",
-    "majority_vote_predict",
     "mc_correlation",
     "phi",
     "psi",
@@ -117,7 +111,6 @@ __all__ = [
     "sample_under_noise",
     "save_checkpoint",
     "select_sigma",
-    "smoothed_accuracy",
     "spectral_norm",
     "spectral_report",
     "stream",

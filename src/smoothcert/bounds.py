@@ -20,7 +20,6 @@ vectors of per-layer norms.  The pieces:
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -214,7 +213,7 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated bound, JSON-serializable with keys exactly as field names."""
+    """Evaluated bound; its ``asdict`` is JSON-serializable, keyed by field name."""
 
     tau: float
     psi: float
@@ -225,9 +224,6 @@ class BoundReport:
     vacuous: bool
     eps_x: float | None
     inputs: dict
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
 def evaluate_bound(

@@ -10,8 +10,9 @@ Each run writes its fully resolved configuration as ``config.json`` beside
 its outputs, and all outputs are byte-reproducible for identical resolved
 configurations.
 
-Exit codes: 0 success, 1 computational/runtime failure, 2 bad flags, config
-values or SMOOTHCERT_SEED (before any data is read or ``--out`` is created).
+Exit codes: 0 success, 1 computational/runtime failure (malformed or empty
+data and checkpoint files among them), 2 bad flags, config values or
+SMOOTHCERT_SEED (before any data is read or ``--out`` is created).
 """
 
 from __future__ import annotations
@@ -184,10 +185,9 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _write_config(out: Path, cfg: dict) -> None:
-    (out / "config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _write_json(path: Path, obj) -> None:
+    """The one JSON artifact format: indent 2, sorted keys, trailing newline."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -221,9 +221,8 @@ def _cmd_train(cfg: dict) -> int:
     data.save_checkpoint(out / "checkpoint.smcert", model, meta)
     _write_csv(out / "metrics.csv", METRICS_HEADER,
                [(m.epoch, m.loss, m.train_acc, m.reg_value, m.seconds) for m in metrics])
-    (out / "spectral.json").write_text(
-        spectral.spectral_report(model).to_json() + "\n", encoding="utf-8")
-    _write_config(out, cfg)
+    _write_json(out / "spectral.json", asdict(spectral.spectral_report(model)))
+    _write_json(out / "config.json", cfg)
     last = metrics[-1]
     print(f"trained {len(metrics)} epochs: loss {last.loss:.4f}, "
           f"train acc {last.train_acc:.4f}, regularizer {last.reg_value:.4f}")
@@ -239,13 +238,13 @@ def _cmd_sigma(cfg: dict) -> int:
         base_seed=cfg["seed"], full_scan=cfg["full_scan"],
     )
     result = select_sigma(model, X, ds.labels, sc)
-    (out / "sigma.json").write_text(json.dumps({
+    _write_json(out / "sigma.json", {
         "sigma2": result.sigma2,
         "flagged_none_qualified": result.flagged_none_qualified,
         "base_accuracy": result.base_accuracy,
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
     _write_csv(out / "trace.csv", TRACE_HEADER, result.trace)
-    _write_config(out, cfg)
+    _write_json(out / "config.json", cfg)
     flag = " (flagged: no grid point qualified)" if result.flagged_none_qualified else ""
     print(f"selected sigma2 = {result.sigma2}{flag}")
     return 0
@@ -300,7 +299,7 @@ def _cmd_certify(cfg: dict) -> int:
     _write_csv(out / "curve.csv", CURVE_HEADER, curve)
     plot.emit_plot(out / "curve.svg", {"certified accuracy": curve},
                    title="Certified accuracy", x_label="radius", y_label="accuracy")
-    _write_config(out, cfg)
+    _write_json(out / "config.json", cfg)
     n_abstain = predicted.count(ABSTAIN)
     print(f"certified {ds.m} samples: accuracy at r=0 is {accs[0]:.4f}, "
           f"{n_abstain} abstentions")
@@ -335,9 +334,9 @@ def _cmd_bound(cfg: dict) -> int:
             model, X[:subset], ds.labels[:subset], cfg["gamma"], noise, cfg["margin_votes"])
     pa, pb = cfg["pa"], cfg["pb"]
     bound = evaluate_bound(inputs, loss, pa=pa, pb=pb)
-    (out / "bound.json").write_text(bound.to_json() + "\n", encoding="utf-8")
-    (out / "spectral.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    _write_config(out, cfg)
+    _write_json(out / "bound.json", asdict(bound))
+    _write_json(out / "spectral.json", asdict(report))
+    _write_json(out / "config.json", cfg)
     tag = " (vacuous)" if bound.vacuous else ""
     print(f"bound = {bound.bound_value:.6f}{tag}, kl = {bound.kl_term:.6g}, "
           f"psi = {bound.psi:.6g}")
@@ -401,7 +400,7 @@ def _cmd_report(cfg: dict) -> int:
         _write_csv(out / "spectral_trends.csv",
                    ["run", "collapsed_spectral", "product_spectral", "gershgorin",
                     "mean_abs_offdiag_cosine", "sigma2"], spectral_rows)
-    _write_config(out, cfg)
+    _write_json(out / "config.json", cfg)
     print(f"merged {len(runs)} runs over {len(union)} radius grid points")
     return 0
 

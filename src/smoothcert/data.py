@@ -92,7 +92,8 @@ def load_idx(images_path, labels_path, name: str | None = None, k: int | None = 
     """Load an IDX image/label file pair into a Dataset.
 
     Validates magics, dimension counts, and exact payload lengths; the image
-    and label counts must agree.  ``k`` defaults to max(label) + 1.
+    and label counts must agree, and a set with no images or no pixels is
+    rejected.  ``k`` defaults to max(label) + 1.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
@@ -100,6 +101,8 @@ def load_idx(images_path, labels_path, name: str | None = None, k: int | None = 
         if magic != IMAGE_MAGIC:
             raise ValueError(f"bad image magic 0x{magic:08x} in {images_path}")
         count, rows, cols = struct.unpack(">III", _read_exact(f, 12, "image dims"))
+        if count == 0 or rows * cols == 0:
+            raise ValueError(f"empty IDX images in {images_path}: {count} x {rows} x {cols}")
         payload = f.read()
     expected = count * rows * cols
     if len(payload) != expected:
@@ -121,7 +124,7 @@ def load_idx(images_path, labels_path, name: str | None = None, k: int | None = 
         raise ValueError(f"image count {count} != label count {lcount}")
     labels = np.frombuffer(lpayload, dtype=np.uint8).astype(np.int64)
     if k is None:
-        k = int(labels.max()) + 1 if labels.size else 1
+        k = int(labels.max()) + 1
     return Dataset(images, labels, k, name or images_path.stem)
 
 
@@ -215,31 +218,41 @@ def save_checkpoint(path, model: MlpModel, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
-    """Read a checkpoint back, bit-exactly; rejects bad magic, future
-    versions, dims that disagree with the file size (checked before any
-    layer is read), non-finite weights and trailing garbage."""
+    """Read a checkpoint back, bit-exactly; rejects bad magic, a header that
+    is not a JSON object, future versions, dims that are not integers >= 1
+    or disagree with the file size (checked before any layer is read),
+    non-finite weights and trailing garbage."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint: bad magic {magic!r}")
         (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
+        size = os.fstat(f.fileno()).st_size
+        if hlen > size - f.tell():  # refuse before allocating the promised bytes
+            raise ValueError(f"truncated checkpoint: header length {hlen} exceeds the file")
         try:
             header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise ValueError(f"corrupt checkpoint header: {e}") from e
+        if not isinstance(header, dict):
+            raise ValueError(f"corrupt checkpoint header: expected a JSON object, "
+                             f"got {type(header).__name__}")
         version = header.get("version")
-        if version != CHECKPOINT_VERSION:
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
         dims = header.get("dims")
         if (
             not isinstance(dims, list)
             or len(dims) < 2
-            or any(not isinstance(v, int) or v < 1 for v in dims)
+            or any(type(v) is not int or v < 1 for v in dims)
         ):
             raise ValueError(f"corrupt checkpoint dims {dims!r}")
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"corrupt checkpoint meta {meta!r}")
         # compare the declared payload with the file before allocating any of it
         declared = 8 * sum(a * b for a, b in zip(dims, dims[1:]))
-        left = os.fstat(f.fileno()).st_size - f.tell()
+        left = size - f.tell()
         if left < declared:
             raise ValueError(f"truncated checkpoint: header declares {declared} "
                              f"weight bytes, {left} follow")
@@ -252,4 +265,4 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
             if not np.isfinite(layer).all():
                 raise ValueError(f"non-finite weights in layer {i}")
             layers.append(layer)
-    return MlpModel(tuple(layers)), header.get("meta", {})
+    return MlpModel(tuple(layers)), meta

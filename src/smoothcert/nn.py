@@ -1,4 +1,4 @@
-"""Dense ReLU multi-layer perceptron: forward, batch gradients, SGD.
+"""Dense ReLU multi-layer perceptron: batch forward and gradients, SGD.
 
 All arrays are 64-bit floats.  A model is an immutable stack of weight
 matrices; layer ``i`` maps ``dims[i] -> dims[i+1]`` and every layer except
@@ -68,9 +68,6 @@ class MlpModel:
     def out_dim(self) -> int:
         return self.layers[-1].shape[0]
 
-    def with_layers(self, layers: Sequence[Matrix]) -> "MlpModel":
-        return MlpModel(tuple(layers))
-
     @cached_property
     def row_basis(self) -> tuple[Matrix, Matrix] | None:
         """Orthonormal basis ``Q`` (d, h) of the first layer's row space, and
@@ -131,30 +128,13 @@ def init_model(dims: Sequence[int], seed: int = 0) -> MlpModel:
     return MlpModel(tuple(layers))
 
 
-def _check_input(model: MlpModel, x: np.ndarray, batched: bool) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    want = 2 if batched else 1
-    if x.ndim != want or x.shape[-1] != model.in_dim:
-        raise ValueError(
-            f"input shape {x.shape} incompatible with model input dim {model.in_dim}"
-        )
-    return x
-
-
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Logits for a single input vector."""
-    z = _check_input(model, x, batched=False)
-    last = model.n_layers - 1
-    for i, w in enumerate(model.layers):
-        z = w @ z
-        if i != last:
-            z = np.maximum(z, 0.0)
-    return z
-
-
 def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Logits (m, k) plus cache for a batch of row-vector inputs (m, d)."""
-    Z = _check_input(model, X, batched=True)
+    Z = np.asarray(X, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != model.in_dim:
+        raise ValueError(
+            f"input shape {Z.shape} incompatible with model input dim {model.in_dim}"
+        )
     inputs, preacts = [], []
     last = model.n_layers - 1
     for i, w in enumerate(model.layers):

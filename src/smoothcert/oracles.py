@@ -13,25 +13,28 @@ on a perturbation grid.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from . import rng
 from .nn import MlpModel, Matrix, _as_f64
-from .smoothing import NoiseConfig, VoteCounts, majority_vote_predict
+from .smoothing import NoiseConfig, VoteCounts, sample_under_noise
 
 
-def jacobi_eigs(sym: Matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
+_JACOBI_TOL = 1e-12
+_JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eigs(sym: Matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by classical Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius norm falls below ``tol`` scaled
-    by the matrix magnitude (floored at ``tol`` itself for unit-scale
-    input).  Returns eigenvalues in ascending order; asymmetric input is an
-    error.
+    Sweeps (at most ``_JACOBI_MAX_SWEEPS``) until the off-diagonal Frobenius
+    norm falls below ``_JACOBI_TOL`` scaled by the matrix magnitude (floored
+    at ``_JACOBI_TOL`` itself for unit-scale input).  Returns eigenvalues in
+    ascending order; asymmetric input is an error.
     """
     A = _as_f64(sym).copy()
     n = A.shape[0]
@@ -41,14 +44,14 @@ def jacobi_eigs(sym: Matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.nd
     if np.abs(A - A.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     A = (A + A.T) / 2.0
-    threshold = tol * max(1.0, float(np.linalg.norm(A)))
+    threshold = _JACOBI_TOL * max(1.0, float(np.linalg.norm(A)))
 
     def off(M: np.ndarray) -> float:
         od = M.copy()
         np.fill_diagonal(od, 0.0)
         return float(np.linalg.norm(od))
 
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         if off(A) <= threshold:
             break
         for p in range(n - 1):
@@ -168,9 +171,6 @@ class AttackReport:
     min_flip_norm: float | None
     worst_perturbation: tuple[float, ...] | None
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
-
 
 def grid_attack(
     model: MlpModel,
@@ -231,7 +231,7 @@ def grid_attack(
     worst: tuple[float, ...] | None = None
     for j in range(probes.shape[0]):
         g = rng.stream(noise.base_seed, sample_index, rng.PHASE_ATTACK, j)
-        vote = majority_vote_predict(model, x + probes[j], votes_per_probe, noise, g)
+        vote = sample_under_noise(model, x + probes[j], votes_per_probe, noise, g).top()
         if vote != certified_class:
             n_flips += 1
             nj = float(norms[j])

@@ -23,7 +23,6 @@ PHASE_MARGIN = 6
 PHASE_SIGMA = 7
 PHASE_ATTACK = 8
 PHASE_SYNTH = 10
-PHASE_EVAL = 11
 PHASE_CORR = 12
 
 

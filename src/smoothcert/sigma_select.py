@@ -77,6 +77,8 @@ def select_sigma(model: MlpModel, inputs, labels, cfg: SigmaSearchConfig) -> Sig
         raise ValueError("inputs must be (m, d) with matching (m,) labels")
     if X.shape[1] != model.in_dim:
         raise ValueError("evaluation inputs do not match the model's input dim")
+    if X.shape[0] == 0:
+        raise ValueError("need at least one evaluation example")
     X, y = X[: cfg.eval_subset], y[: cfg.eval_subset]
     base_acc = evaluate(model, X, y)
 

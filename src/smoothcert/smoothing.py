@@ -179,11 +179,6 @@ def sample_under_noise(
     return VoteCounts(counts=tuple(int(c) for c in counts), draws=num)
 
 
-def majority_vote_predict(model: MlpModel, x, num: int, noise: NoiseConfig, stream) -> int:
-    """Most-voted class over ``num`` draws (ties to the lowest index)."""
-    return sample_under_noise(model, x, num, noise, stream).top()
-
-
 def lower_conf_bound(successes: int, draws: int, confidence: float) -> float:
     """One-sided Clopper-Pearson lower confidence bound on a binomial p.
 
@@ -293,17 +288,6 @@ def empirical_margin_loss(
         if int(np.argmax(counts)) != y[i]:
             wrong += 1
     return wrong / X.shape[0]
-
-
-def smoothed_accuracy(model: MlpModel, inputs, labels, noise: NoiseConfig, num: int) -> float:
-    """Majority-vote accuracy over a dataset, ``num`` votes per example."""
-    X = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    hits = 0
-    for i in range(X.shape[0]):
-        g = rng.stream(noise.base_seed, i, rng.PHASE_EVAL)
-        hits += majority_vote_predict(model, X[i], num, noise, g) == y[i]
-    return hits / X.shape[0]
 
 
 def certified_accuracy_curve(predicted, radius, labels, radii) -> np.ndarray:

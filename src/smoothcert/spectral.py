@@ -11,8 +11,7 @@ comes from the infinity norm of the Gram matrix (a Gershgorin-style bound).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -65,20 +64,15 @@ def _row_cosines(m: Matrix) -> tuple[Matrix, np.ndarray, Matrix, np.ndarray]:
     return cos, norms, units, np.flatnonzero(zero)
 
 
-def correlation_matrix(m: Matrix, return_zero_rows: bool = False):
+def correlation_matrix(m: Matrix) -> Matrix:
     """Cosine similarities between the rows of ``m``.
 
     Equals the Pearson correlation matrix of the outputs of the linear map
     ``x -> m x`` when ``x`` carries spherical Gaussian noise.  All-zero rows
     (whose output is constant, so correlation is undefined) get 1 on the
-    diagonal and 0 elsewhere; pass ``return_zero_rows=True`` to also receive
-    their indices.
+    diagonal and 0 elsewhere; ``spectral_report`` lists their indices.
     """
-    m = _as_f64(m)
-    cos, _, _, zero_rows = _row_cosines(m)
-    if return_zero_rows:
-        return cos, tuple(int(i) for i in zero_rows)
-    return cos
+    return _row_cosines(_as_f64(m))[0]
 
 
 def mean_abs_offdiag(m) -> float:
@@ -88,11 +82,6 @@ def mean_abs_offdiag(m) -> float:
     if k < 2:
         return 0.0
     return float(np.abs(c[~np.eye(k, dtype=bool)]).mean())
-
-
-def l11_norm(m: Matrix) -> float:
-    """Sum of the absolute values of all entries."""
-    return float(np.abs(np.asarray(m, dtype=np.float64)).sum())
 
 
 def regularizer_and_gradient(model: MlpModel) -> tuple[float, Gradients]:
@@ -148,7 +137,7 @@ def regularizer_and_gradient(model: MlpModel) -> tuple[float, Gradients]:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Spectral diagnostics of a model, JSON-serializable."""
+    """Spectral diagnostics of a model; ``asdict`` of it is JSON-serializable."""
 
     per_layer_spectral: tuple[float, ...]
     per_layer_frobenius: tuple[float, ...]
@@ -157,13 +146,6 @@ class SpectralReport:
     gershgorin: float
     cosine_matrix: tuple[tuple[float, ...], ...]
     degenerate_rows: tuple[int, ...]
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
-
-    @property
-    def mean_abs_offdiag_cosine(self) -> float:
-        return mean_abs_offdiag(self.cosine_matrix)
 
 
 def spectral_report(model: MlpModel) -> SpectralReport:
@@ -175,7 +157,7 @@ def spectral_report(model: MlpModel) -> SpectralReport:
     per_spec = tuple(_norm(w) for w in model.layers)
     per_frob = tuple(float(np.linalg.norm(w)) for w in model.layers)
     W = collapsed_weight(model)
-    cos, zero_rows = correlation_matrix(W, return_zero_rows=True)
+    cos, _, _, zero_rows = _row_cosines(W)
     return SpectralReport(
         per_layer_spectral=per_spec,
         per_layer_frobenius=per_frob,
@@ -183,5 +165,5 @@ def spectral_report(model: MlpModel) -> SpectralReport:
         collapsed_spectral=_norm(W),
         gershgorin=gershgorin_bound(W) if np.any(W) else 0.0,
         cosine_matrix=tuple(tuple(float(v) for v in row) for row in cos),
-        degenerate_rows=zero_rows,
+        degenerate_rows=tuple(int(i) for i in zero_rows),
     )

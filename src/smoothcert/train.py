@@ -104,6 +104,8 @@ def train(
     if X.shape[1] != model.in_dim:
         raise ValueError("training inputs do not match the model's input dim")
     m = X.shape[0]
+    if m == 0:
+        raise ValueError("need at least one training example")
     sigma = float(np.sqrt(cfg.noise_variance))
     state = SgdState.zeros_like(model)
     metrics: list[EpochMetrics] = []

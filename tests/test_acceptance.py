@@ -245,7 +245,7 @@ def test_criterion_4_spectral_trend(criterion, digit_trend_runs):
         alphas = (0.0, 0.1, 0.3)
         coll = [runs[a][0].collapsed_spectral for a in alphas]
         prod = [runs[a][0].product_spectral for a in alphas]
-        offs = [runs[a][0].mean_abs_offdiag_cosine for a in alphas]
+        offs = [spectral.mean_abs_offdiag(runs[a][0].cosine_matrix) for a in alphas]
         c.check(coll[0] > coll[1] > coll[2],
                 f"collapsed spectral norm not strictly decreasing: {coll}")
         c.check(prod[0] > prod[1] > prod[2],
@@ -413,8 +413,8 @@ def test_criterion_8_invariant_suite(criterion, tmp_path):
         c.check(np.allclose(spectral.correlation_matrix(2.5 * D @ W), C0, atol=1e-12),
                 "correlation matrix not invariant under positive row scaling")
         scaled = MlpModel(layers=(*mdl.layers[:-1], 3.0 * mdl.layers[-1]))
-        c.check(int(np.argmax(nn.forward(scaled, X[0]))) ==
-                int(np.argmax(nn.forward(mdl, X[0]))),
+        c.check(int(np.argmax(nn.forward_batch(scaled, X[:1])[0][0])) ==
+                int(np.argmax(nn.forward_batch(mdl, X[:1])[0][0])),
                 "argmax changed under positive output scaling")
 
         ck = tmp_path / "model.smcert"

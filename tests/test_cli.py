@@ -17,11 +17,14 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_idx_pair
 from smoothcert import cli, data
+from smoothcert.nn import MlpModel
 
 # small enough that the whole module runs in a few seconds
 DATA_FLAGS = ["--synth-k", "3", "--synth-d", "6", "--synth-m", "150",
@@ -237,7 +240,7 @@ def test_certify_non_finite_checkpoint_exits_1(checkpoint, tmp_path, capsys):
     layers = [w.copy() for w in model.layers]
     layers[0][0, 0] = float("nan")
     bad = tmp_path / "bad.smcert"
-    data.save_checkpoint(bad, model.with_layers(layers), meta)
+    data.save_checkpoint(bad, MlpModel(tuple(layers)), meta)
     out = tmp_path / "x"
     assert cli.main(certify_args(str(bad), out)) == 1
     assert "non-finite" in capsys.readouterr().err
@@ -600,6 +603,29 @@ def test_bad_env_seed_usage_error(tmp_path, monkeypatch):
         res = subprocess.run([sys.executable, "-m", "smoothcert.cli", *argv],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
+
+
+# ------------------------------------------- malformed or empty data files ---
+
+
+@pytest.mark.parametrize("command", ["train", "sigma", "certify", "bound"])
+def test_empty_idx_dataset_exits_1(checkpoint, tmp_path, capsys, command):
+    img, lab = write_idx_pair(tmp_path, np.zeros((0, 36), np.uint8), [], 6, 6)
+    out = tmp_path / "x"
+    argv = _valid_argv(command, checkpoint, out) + ["--images", str(img), "--labels", str(lab)]
+    assert cli.main(argv) == 1
+    assert "error: empty IDX images" in capsys.readouterr().err
+    assert not out.exists()  # no checkpoint.smcert, sigma.json or samples.csv
+
+
+def test_certify_non_object_checkpoint_header_exits_1(tmp_path, capsys):
+    header = json.dumps([1, 2]).encode()
+    bad = tmp_path / "list.smcert"
+    bad.write_bytes(data.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
+    out = tmp_path / "x"
+    assert cli.main(certify_args(str(bad), out)) == 1
+    assert "error: corrupt checkpoint header" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
 
 
 def _exit_code(argv):

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_idx_pair
 from smoothcert import data
@@ -51,6 +53,14 @@ def test_idx_rejects_truncated_payload(tmp_path):
     img, lab = write_idx_pair(tmp_path, np.zeros((2, 4), np.uint8), [0, 1], 2, 2)
     img.write_bytes(img.read_bytes()[:-3])
     with pytest.raises(ValueError, match="payload"):
+        data.load_idx(img, lab)
+
+
+@pytest.mark.parametrize("count,rows,cols", [(0, 2, 2), (3, 0, 2), (3, 2, 0)])
+def test_idx_rejects_empty_sets(tmp_path, count, rows, cols):
+    img, lab = write_idx_pair(tmp_path, np.zeros((count, rows * cols), np.uint8),
+                              [0] * count, rows, cols)
+    with pytest.raises(ValueError, match="empty IDX images"):
         data.load_idx(img, lab)
 
 
@@ -219,6 +229,44 @@ def test_checkpoint_rejects_dims_larger_than_file(tmp_path):
         data.load_checkpoint(path)
 
 
+def raw_checkpoint(header, payload: bytes = b"") -> bytes:
+    """Checkpoint bytes around an arbitrary JSON header value."""
+    blob = json.dumps(header).encode()
+    return data.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload
+
+
+@pytest.mark.parametrize("header", [[1, 2], "x", 3, None])
+def test_checkpoint_rejects_non_object_header(tmp_path, header):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(raw_checkpoint(header))
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        data.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("dims", [True, 2], "dims"),
+    ("dims", [2, True], "dims"),
+    ("dims", [2.0, 1], "dims"),
+    ("version", True, "version"),
+    ("meta", [1], "meta"),
+])
+def test_checkpoint_rejects_mistyped_header_fields(tmp_path, field, value, match):
+    # JSON true is a Python int, so an isinstance check alone lets it through
+    header = {"version": data.CHECKPOINT_VERSION, "dims": [1, 2], "meta": {}}
+    header[field] = value
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(raw_checkpoint(header, bytes(16)))
+    with pytest.raises(ValueError, match=match):
+        data.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_header_length_beyond_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(data.CHECKPOINT_MAGIC + struct.pack("<I", 2**32 - 1) + b"{}")
+    with pytest.raises(ValueError, match="truncated checkpoint: header length"):
+        data.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_future_version(tmp_path):
     path = tmp_path / "m.ckpt"
     model = MlpModel((np.ones((2, 3)),))
@@ -241,3 +289,84 @@ def test_checkpoint_rejects_non_finite_weights(tmp_path, bad):
     data.save_checkpoint(path, MlpModel((np.ones((3, 3)), layer)))
     with pytest.raises(ValueError, match="non-finite weights in layer 1"):
         data.load_checkpoint(path)
+
+
+# ------------------------------------------------------------ reader fuzzing
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**40) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["version", "dims", "meta", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(raw: bytes, how: str, pos: int, byte: int) -> bytes:
+    pos %= len(raw)
+    if how == "truncate":
+        return raw[:pos]
+    if how == "flip":
+        return raw[:pos] + bytes([raw[pos] ^ byte]) + raw[pos + 1:]
+    return raw + bytes([byte]) * (pos % 5 + 1)  # "extend": trailing garbage
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(how=st.sampled_from(["truncate", "flip", "extend", "header", "hlen"]),
+       pos=st.integers(0, 2**16), byte=st.integers(1, 255), header=_JSON,
+       hlen=st.integers(0, 2**32 - 1))
+@example(how="header", pos=0, byte=1, header=[1, 2], hlen=0)
+@example(how="header", pos=0, byte=1, header={"version": 1, "dims": [True, 2]}, hlen=0)
+def test_checkpoint_reader_fuzz(tmp_path, how, pos, byte, header, hlen):
+    # a damaged checkpoint either raises ValueError or loads exactly what its
+    # bytes say: the header's dims and meta, the trailing float64 payload
+    path = tmp_path / "fuzz.ckpt"
+    data.save_checkpoint(path, init_model((3, 2, 2), seed=1), {"k": 2})
+    raw = path.read_bytes()
+    if how == "header":
+        raw = raw_checkpoint(header, raw[-80:])
+    elif how == "hlen":
+        raw = raw[:8] + struct.pack("<I", hlen) + raw[12:]
+    else:
+        raw = _mutate(raw, how, pos, byte)
+    path.write_bytes(raw)
+    try:
+        model, meta = data.load_checkpoint(path)
+    except ValueError:
+        return
+    (n,) = struct.unpack("<I", raw[8:12])
+    head = json.loads(raw[12:12 + n])
+    assert list(model.dims) == head["dims"] and meta == head.get("meta", {})
+    weights = np.frombuffer(raw[12 + n:], dtype="<f8")
+    assert np.array_equal(np.concatenate([w.ravel() for w in model.layers]), weights)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(["images", "labels"]),
+       how=st.sampled_from(["truncate", "flip", "extend", "count"]),
+       pos=st.integers(0, 2**16), byte=st.integers(1, 255), count=st.integers(0, 2**32 - 1))
+@example(target="images", how="count", pos=0, byte=1, count=0)
+def test_idx_reader_fuzz(tmp_path, target, how, pos, byte, count):
+    # a damaged IDX pair either raises ValueError or loads exactly what its
+    # bytes say
+    pixels = (np.arange(12, dtype=np.uint8) * 20).reshape(3, 4)
+    img, lab = write_idx_pair(tmp_path, pixels, [0, 1, 1], 2, 2)
+    path = img if target == "images" else lab
+    raw = path.read_bytes()
+    if how == "count":
+        raw = raw[:4] + struct.pack(">I", count) + raw[8:]
+    else:
+        raw = _mutate(raw, how, pos, byte)
+    path.write_bytes(raw)
+    try:
+        ds = data.load_idx(img, lab)
+    except ValueError:
+        return
+    im, lb = img.read_bytes(), lab.read_bytes()
+    m, rows, cols = struct.unpack(">III", im[4:16])
+    assert ds.m == m > 0 and ds.d == rows * cols > 0
+    want = np.frombuffer(im[16:], np.uint8).reshape(m, -1) / 255.0
+    assert np.array_equal(ds.inputs, want)
+    assert np.array_equal(ds.labels, np.frombuffer(lb[8:], np.uint8))

@@ -10,7 +10,6 @@ from smoothcert.nn import (
     SgdState,
     backward_batch,
     cross_entropy_batch,
-    forward,
     forward_batch,
     init_model,
     plain_step,
@@ -24,21 +23,26 @@ def model_of(*mats):
     return MlpModel(tuple(np.asarray(m, dtype=float) for m in mats))
 
 
+def logits_of(model, x):
+    """Logits of one input, as a batch of one."""
+    return forward_batch(model, np.asarray(x, dtype=float)[None, :])[0][0]
+
+
 # ---------------------------------------------------------------- forward
 
 def test_forward_single_layer_is_linear():
     m = model_of([[2.0, 0.0], [0.0, 3.0]])
-    assert np.allclose(forward(m, [1.0, 1.0]), [2.0, 3.0])
+    assert np.allclose(logits_of(m, [1.0, 1.0]), [2.0, 3.0])
 
 
 def test_forward_relu_kills_negative_hidden_coordinate():
     m = model_of(np.eye(2), np.eye(2))
-    assert np.allclose(forward(m, [-1.0, 2.0]), [0.0, 2.0])
+    assert np.allclose(logits_of(m, [-1.0, 2.0]), [0.0, 2.0])
 
 
 def test_forward_no_relu_on_output_layer():
     m = model_of([[1.0, 0.0], [0.0, 1.0]])
-    out = forward(m, [-5.0, 1.0])
+    out = logits_of(m, [-5.0, 1.0])
     assert out[0] == -5.0  # stays negative
 
 
@@ -46,7 +50,7 @@ def test_forward_matches_loop_oracle(tiny_model):
     g = rng.stream(1, 98)
     for _ in range(20):
         x = g.standard_normal(6)
-        got = forward(tiny_model, x)
+        got = logits_of(tiny_model, x)
         want = loop_forward(tiny_model, x)
         assert relative_error(got, want) < 1e-12
 
@@ -54,14 +58,17 @@ def test_forward_matches_loop_oracle(tiny_model):
 def test_forward_dimension_mismatch():
     m = model_of([[1.0, 2.0]])
     with pytest.raises(ValueError):
-        forward(m, [1.0, 2.0, 3.0])
+        forward_batch(m, [[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError):
+        forward_batch(m, [1.0, 2.0])  # a single vector, not a batch
 
 
 def test_forward_batch_matches_single(tiny_model):
     X = rng.stream(2, 98).standard_normal((9, 6))
     logits, _ = forward_batch(tiny_model, X)
     for i in range(9):
-        assert np.allclose(logits[i], forward(tiny_model, X[i]), atol=0, rtol=1e-14)
+        assert np.allclose(logits[i], logits_of(tiny_model, X[i]), atol=0, rtol=1e-14)
+        assert relative_error(logits[i], loop_forward(tiny_model, X[i])) < 1e-12
 
 
 def test_row_basis_spans_first_layer_rows():
@@ -94,7 +101,7 @@ def test_backward_finite_difference():
     target = g.standard_normal(3)
 
     def loss_of(model_):
-        out = forward(model_, x)
+        out = logits_of(model_, x)
         return float(out @ target)
 
     _, cache = forward_batch(model, x[None, :])

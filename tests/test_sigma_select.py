@@ -97,6 +97,13 @@ def test_grid_and_config_validation():
         SigmaSearchConfig(n_samples=0)
 
 
+def test_empty_evaluation_set_is_rejected():
+    # an empty set would give base_accuracy NaN and silently select the grid top
+    model = init_model((3, 2), seed=0)
+    with pytest.raises(ValueError, match="at least one"):
+        select_sigma(model, np.zeros((0, 3)), np.zeros(0, dtype=int), SigmaSearchConfig())
+
+
 def test_result_trace_is_immutable_tuple():
     model, X, y = trained_toy()
     res = select_sigma(model, X, y, SigmaSearchConfig(

@@ -9,7 +9,7 @@ from scipy.special import betainc
 from scipy.stats import norm
 
 from smoothcert import rng
-from smoothcert.nn import MlpModel, forward
+from smoothcert.nn import MlpModel, forward_batch
 from smoothcert.oracles import binomial_tail, reference_votes
 from smoothcert.smoothing import (
     ABSTAIN,
@@ -20,9 +20,7 @@ from smoothcert.smoothing import (
     certify,
     empirical_margin_loss,
     lower_conf_bound,
-    majority_vote_predict,
     sample_under_noise,
-    smoothed_accuracy,
 )
 
 from conftest import rand_model
@@ -42,7 +40,7 @@ def test_zero_noise_votes_equal_plain_argmax():
         model = rand_model((6, 5, 4), seed=seed)
         x = g.standard_normal(6)
         votes = sample_under_noise(model, x, 32, NO_NOISE, rng.stream(seed))
-        want = int(np.argmax(forward(model, x)))
+        want = int(np.argmax(forward_batch(model, x[None, :])[0][0]))
         assert votes.counts[want] == 32
         assert sum(votes.counts) == votes.draws == 32
 
@@ -57,13 +55,6 @@ def test_vote_count_conservation_under_noise(tiny_model):
 def test_top_breaks_ties_to_lowest_index():
     assert VoteCounts(counts=(3, 3, 1), draws=7).top() == 0
     assert VoteCounts(counts=(0, 5, 5), draws=10).top() == 1
-
-
-def test_majority_vote_matches_manual_top(tiny_model):
-    noise = NoiseConfig(sigma_input=0.5)
-    x = np.ones(6)
-    votes = sample_under_noise(tiny_model, x, 400, noise, rng.stream(9))
-    assert majority_vote_predict(tiny_model, x, 400, noise, rng.stream(9)) == votes.top()
 
 
 def test_identical_streams_reproduce_votes(tiny_model):
@@ -240,6 +231,19 @@ def test_certified_radius_finite_at_certainty():
     assert math.isfinite(certified_radius(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("sigma", [0.3, 2.5])
+def test_certified_radius_is_fixed_share_of_gaussian_radius(sigma):
+    # the Renyi radius sigma*sqrt(-2 ln(1 - (sqrt(p) - sqrt(1-p))^2)) is between
+    # 0.728 (at p = 1 - 1e-12) and sqrt(2/pi) = 0.798 (as p -> 1/2) of
+    # sigma*Phi^-1(p); sigma on both sides of 1 makes a sigma-for-sigma^2 slip
+    # fall outside the band
+    ps = np.concatenate([0.5 + np.logspace(-8, math.log10(0.49), 60),
+                         1.0 - np.logspace(-2, -12, 30)])
+    for p in ps:
+        ratio = certified_radius(float(p), float(1.0 - p), sigma) / (sigma * norm.ppf(p))
+        assert 0.728 <= ratio <= 0.798, (p, ratio)
+
+
 # ------------------------------------------------------------ certify
 
 def test_certify_unanimous_votes_closed_form():
@@ -301,6 +305,8 @@ def test_certify_lower_bound_covers_exact_vote_probability():
         p_true = p0 if res.selection.top() == 0 else 1.0 - p0
         misses += res.pa_lower > p_true
         class0_votes += res.estimation.counts[0]
+        if not res.abstained:
+            assert res.radius <= sigma * norm.ppf(res.pa_lower)
     assert misses / seeds <= alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / seeds)
     # the vote share itself matches the exact probability within 5 SE
     total = seeds * n
@@ -313,7 +319,7 @@ def margin_fixture():
     model = rand_model((5, 4, 3), seed=13)
     g = rng.stream(22, 98)
     X = g.standard_normal((40, 5))
-    logits = np.array([forward(model, x) for x in X])
+    logits, _ = forward_batch(model, X)
     y = np.argmax(logits, axis=1)
     y[:10] = (y[:10] + 1) % 3  # force some plain errors
     return model, X, y
@@ -321,7 +327,7 @@ def margin_fixture():
 
 def test_margin_loss_gamma_zero_no_noise_is_plain_error():
     model, X, y = margin_fixture()
-    plain = np.mean(np.argmax([forward(model, x) for x in X], axis=1) != y)
+    plain = np.mean(np.argmax(forward_batch(model, X)[0], axis=1) != y)
     got = empirical_margin_loss(model, X, y, 0.0, NO_NOISE, num=8)
     assert got == pytest.approx(float(plain), abs=0)
 
@@ -338,41 +344,6 @@ def test_margin_loss_monotone_in_gamma():
 def test_margin_loss_huge_gamma_fails_everything():
     model, X, y = margin_fixture()
     assert empirical_margin_loss(model, X, y, 1e9, NO_NOISE, num=4) == 1.0
-
-
-# ------------------------------------------------------------ accuracy
-
-def test_smoothed_accuracy_memorizer_no_noise():
-    # identity network classifies one-hot points perfectly
-    model = model_of(np.eye(4))
-    X = np.eye(4) * 3.0
-    y = np.arange(4)
-    assert smoothed_accuracy(model, X, y, NO_NOISE, num=5) == 1.0
-
-
-def test_smoothed_accuracy_sigma_zero_equals_noiseless_eval(tiny_model):
-    g = rng.stream(23, 98)
-    X = g.standard_normal((12, 6))
-    y = g.integers(0, 4, size=12)
-    want = np.mean(np.argmax([forward(tiny_model, x) for x in X], axis=1) == y)
-    got = smoothed_accuracy(tiny_model, X, y, NO_NOISE, num=3)
-    assert got == pytest.approx(float(want), abs=0)
-
-
-def test_smoothed_accuracy_variance_shrinks_with_votes():
-    # run-to-run variance of the estimate drops as votes grow
-    model = model_of(np.eye(2))
-    g = rng.stream(24, 98)
-    X = np.column_stack([g.uniform(0.05, 0.3, size=40), np.zeros(40)])
-    y = np.zeros(40, dtype=int)  # per-vote success prob in (0.5, 0.8)
-    runs = {1: [], 1000: []}
-    for num in runs:
-        for seed in range(12):
-            noise = NoiseConfig(sigma_input=1.0, sigma_weight=0.0, base_seed=100 + seed)
-            runs[num].append(smoothed_accuracy(model, X, y, noise, num=num))
-    v1, v1000 = np.var(runs[1]), np.var(runs[1000])
-    assert v1 > v1000
-    assert v1 > 5.0 * v1000
 
 
 # ------------------------------------------------------------ curves

@@ -10,7 +10,6 @@ from smoothcert.spectral import (
     collapsed_weight,
     correlation_matrix,
     gershgorin_bound,
-    l11_norm,
     regularizer_and_gradient,
     spectral_norm,
     spectral_report,
@@ -142,23 +141,28 @@ def test_correlation_bounds_and_symmetry():
 
 def test_correlation_zero_row_handling():
     m = np.array([[1.0, 1.0], [0.0, 0.0]])
-    c, zero = correlation_matrix(m, return_zero_rows=True)
-    assert zero == (1,)
+    c = correlation_matrix(m)
     assert c[1, 1] == 1.0 and c[0, 1] == 0.0 and c[1, 0] == 0.0
+    rep = spectral_report(model_of(m))
+    assert rep.degenerate_rows == (1,)
+    assert np.array_equal(np.asarray(rep.cosine_matrix), c)
 
 
-# ------------------------------------------------------------ l11 / regularizer
+# ------------------------------------------------------------ regularizer
 
 def test_l11_hand_value_and_flatten_oracle():
-    m = np.array([[1.0, -2.0], [-3.0, 4.0]])
-    assert l11_norm(m) == 10.0
-    g = rng.stream(17, 98)
-    r = g.standard_normal((5, 7))
-    assert l11_norm(r) == pytest.approx(sum(abs(v) for v in r.ravel()), rel=1e-15)
+    # the regularizer's value is the entrywise L1 norm of the collapsed
+    # cosine matrix: by hand, rows (1, 0) and (-1, 1) have cosine -1/sqrt(2)
+    value, _ = regularizer_and_gradient(model_of([[1.0, 0.0], [-1.0, 1.0]]))
+    assert value == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
+    model = rand_model((7, 6, 5), seed=17)
+    c = correlation_matrix(collapsed_weight(model))
+    want = sum(abs(float(v)) for v in c.ravel())
+    assert regularizer_and_gradient(model)[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_l11_identity():
-    assert l11_norm(np.eye(4)) == 4.0
+    assert regularizer_and_gradient(model_of(np.eye(4)))[0] == 4.0
 
 
 def test_regularizer_orthonormal_rows():

@@ -104,6 +104,8 @@ def test_train_validates_shapes():
         train(init_model((5, 3), seed=0), X, y, quick_cfg())  # wrong in_dim
     with pytest.raises(ValueError):
         train(init_model((9, 3), seed=0), X, y[:-1], quick_cfg())
+    with pytest.raises(ValueError, match="at least one"):
+        train(init_model((9, 3), seed=0), X[:0], y[:0], quick_cfg())
 
 
 def test_regularized_training_decorrelates_rows():
