@@ -129,6 +129,10 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
                 parser.error(f"{where}: unterminated string")
         else:
             raw = raw.split("#", 1)[0].strip()
+        if parser._parse_optional(raw) is not None:
+            # as a flag's value this text would be read as an option, and
+            # the flag would be missing its argument
+            parser.error(f"{where}: {key} value {raw!r} would be read as an option")
         values[key] = raw
     return values
 

@@ -42,6 +42,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        reals = (self.lr, self.weight_decay, self.noise_variance, self.alpha,
+                 *(f for _, f in self.lr_drops))
+        if not np.isfinite(reals).all():
+            raise ValueError("lr, weight_decay, noise_variance, alpha and lr drop "
+                             "divisors must be finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr <= 0.0:

@@ -662,6 +662,8 @@ _TOKENS = ["0", "1", "2", "3", "-3", "0001", "0.5", "1.5", "1e-3", "nan", "inf",
 @given(option=st.sampled_from(_PROPERTY_KEYS), value=st.sampled_from(_TOKENS))
 @example(option=("train", "epochs"), value="true")
 @example(option=("train", "out"), value="0001")
+@example(option=("train", "out"), value="-inf")
+@example(option=("certify", "out"), value="-inf")
 def test_config_value_matches_flag(checkpoint, option, value):
     # ``--key V`` and a config line ``key = V`` exit alike and, on success,
     # resolve to the same configuration

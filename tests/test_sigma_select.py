@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from smoothcert import data
-from smoothcert.nn import init_model
+from smoothcert import data, rng
+from smoothcert.nn import MlpModel, init_model
 from smoothcert.sigma_select import SigmaSearchConfig, SigmaSearchResult, select_sigma
 from smoothcert.train import TrainConfig, evaluate, train
 
@@ -97,6 +99,14 @@ def test_grid_and_config_validation():
         SigmaSearchConfig(n_samples=0)
 
 
+@pytest.mark.parametrize("field", ["grid_start", "grid_stop", "grid_step", "tolerance"])
+def test_config_rejects_non_finite(field):
+    # grid_stop=inf overflowed in grid(); grid_step=inf gave an empty grid
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SigmaSearchConfig(**{field: bad})
+
+
 def test_empty_evaluation_set_is_rejected():
     # an empty set would give base_accuracy NaN and silently select the grid top
     model = init_model((3, 2), seed=0)
@@ -112,3 +122,40 @@ def test_result_trace_is_immutable_tuple():
     assert isinstance(res, SigmaSearchResult)
     assert isinstance(res.trace, tuple)
     assert all(isinstance(t, tuple) and len(t) == 2 for t in res.trace)
+
+
+def per_model_trace(model, X, y, cfg):
+    """The search's full-scan trace the plain way: one perturbed ``MlpModel``
+    per draw, scored by ``train.evaluate``."""
+    X, y = X[: cfg.eval_subset], y[: cfg.eval_subset]
+    base = evaluate(model, X, y)
+    trace = []
+    for gi, sigma2 in enumerate(cfg.grid()):
+        sig = float(np.sqrt(sigma2))
+        accs = np.empty(cfg.n_samples)
+        for j in range(cfg.n_samples):
+            g = rng.stream(cfg.base_seed, rng.PHASE_SIGMA, gi, j)
+            perturbed = MlpModel(tuple(w + sig * g.standard_normal(w.shape) for w in model.layers))
+            accs[j] = evaluate(perturbed, X, y)
+        trace.append((float(sigma2), max(0.0, base - float(accs.mean()))))
+    return tuple(trace)
+
+
+@pytest.mark.parametrize("dims, n_samples", [
+    ((11, 3), 400),          # one layer: blocks of 170, 170 and 60
+    ((150, 100, 7, 3), 12),  # 100 does not divide 512: blocks of 5, 5 and 2
+    ((11, 16, 3), 5),        # h0 >= d: one perturbation per block
+])
+def test_block_evaluation_matches_per_model_loop(dims, n_samples):
+    ds = data.synth_blobs(3, dims[0] - 1, 300, spread=0.3, seed=5)
+    X, y = data.augment(ds.inputs), ds.labels
+    model, _ = train(init_model(dims, seed=1), X, y, TrainConfig(
+        epochs=3, batch_size=64, lr=0.05, lr_drops=(), momentum=0.9,
+        noise_variance=0.0, alpha=0.0, seed=0))
+    cfg = SigmaSearchConfig(grid_start=0.02, grid_stop=0.3, grid_step=0.14,
+                            n_samples=n_samples, tolerance=1.0, eval_subset=250,
+                            full_scan=True, base_seed=2)
+    res = select_sigma(model, X, y, cfg)
+    assert res.trace == per_model_trace(model, X, y, cfg)
+    assert len(res.trace) == 3
+    assert res.base_accuracy == evaluate(model, X[:250], y[:250])

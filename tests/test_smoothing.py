@@ -291,14 +291,18 @@ def test_certify_lower_bound_covers_exact_vote_probability():
     # probability exactly Phi((w0 - w1).x / (sigma ||w0 - w1||)); certify's
     # pa_lower may exceed the guessed class's probability in at most an alpha
     # share of independent seeds (plus 3 binomial SD).  d = 8 > 2 inputs, so
-    # the votes are drawn in the first layer's row space.
+    # the votes are drawn in the first layer's row space.  The plain model
+    # puts x in class 0 at distance D from its decision boundary, so a
+    # certificate is wrong when it names class 1 or a radius above D; that
+    # may also happen in at most an alpha share of the seeds.
     model = rand_model((8, 2), seed=31)
     w = model.layers[0]
     diff = w[0] - w[1]
     sigma, alpha, seeds, n = 0.5, 0.05, 2000, 500
     x = 0.42 * diff / np.linalg.norm(diff) + 1.5 * null_space(w)[:, 0]
+    dist = float(diff @ x / np.linalg.norm(diff))
     p0 = float(norm.cdf(diff @ x / (sigma * np.linalg.norm(diff))))
-    misses = class0_votes = 0
+    misses = wrong = class0_votes = 0
     for seed in range(seeds):
         noise = NoiseConfig(sigma_input=sigma, sigma_weight=0.0, base_seed=seed)
         res = certify(model, x, noise, n_selection=10, n_estimation=n, alpha=alpha)
@@ -307,7 +311,11 @@ def test_certify_lower_bound_covers_exact_vote_probability():
         class0_votes += res.estimation.counts[0]
         if not res.abstained:
             assert res.radius <= sigma * norm.ppf(res.pa_lower)
-    assert misses / seeds <= alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / seeds)
+            wrong += res.predicted == 1 or res.radius > dist
+    limit = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / seeds)
+    assert dist == pytest.approx(0.42)
+    assert misses / seeds <= limit
+    assert wrong / seeds <= limit
     # the vote share itself matches the exact probability within 5 SE
     total = seeds * n
     assert abs(class0_votes / total - p0) <= 5.0 * math.sqrt(p0 * (1.0 - p0) / total)

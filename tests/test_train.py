@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,15 @@ def test_config_validation():
         TrainConfig(alpha=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(lr_drops=((0, 10.0),))
+
+
+@pytest.mark.parametrize("field", ["lr", "weight_decay", "noise_variance", "alpha", "lr_drops"])
+def test_config_rejects_non_finite(field):
+    # NaN fails every comparison, so noise_variance=nan trained without noise
+    for bad in (math.nan, math.inf):
+        value = ((5, bad),) if field == "lr_drops" else bad
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
 
 
 def test_lr_at_applies_all_reached_drops():
