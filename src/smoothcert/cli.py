@@ -359,7 +359,6 @@ def _step_interp(points: list[tuple[float, float]], r: float) -> float:
 
 
 def _cmd_report(cfg: dict) -> int:
-    out = _out_dir(cfg)
     runs: dict[str, list[tuple[float, float]]] = {}
     extras: dict[str, dict] = {}
     for d in cfg["dirs"]:
@@ -370,7 +369,14 @@ def _cmd_report(cfg: dict) -> int:
             raise ValueError(f"{curve_path} not found")
         with open(curve_path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
-            pts = [(float(row["radius"]), float(row["accuracy"])) for row in reader]
+            if not set(CURVE_HEADER) <= set(reader.fieldnames or ()):
+                raise ValueError(f"{curve_path} needs the columns {', '.join(CURVE_HEADER)}")
+            pts = []
+            for row in reader:
+                r, a = row["radius"], row["accuracy"]
+                if r is None or a is None:
+                    raise ValueError(f"{curve_path}: line {reader.line_num} is short")
+                pts.append((float(r), float(a)))
         if not pts:
             raise ValueError(f"{curve_path} has no rows")
         runs[name] = sorted(pts)
@@ -380,6 +386,7 @@ def _cmd_report(cfg: dict) -> int:
             if p.exists():
                 extras[name][extra] = json.loads(p.read_text(encoding="utf-8"))
 
+    out = _out_dir(cfg)
     grids = [tuple(r for r, _ in pts) for pts in runs.values()]
     union = sorted({r for grid in grids for r in grid})
     if any(grid != tuple(union) for grid in grids):

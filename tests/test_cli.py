@@ -407,6 +407,27 @@ def test_report_empty_dir_exits_1(tmp_path, capsys):
     rc = cli.main(["report", str(empty), "--out", str(tmp_path / "rep")])
     assert rc == 1
     assert "curve.csv" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("r,acc\n0.0,1.0\n", "needs the columns radius, accuracy"),
+    ("accuracy\n1.0\n", "needs the columns radius, accuracy"),
+    ("radius,accuracy\n0.0,1.0\n0.5\n", "line 3 is short"),
+    ("radius,accuracy\n0.0,one\n", "could not convert"),
+])
+def test_report_malformed_curve_exits_1(tmp_path, capsys, text, message):
+    # every input is read before --out is made: the good first run must not
+    # leave an output directory behind when the second one is malformed
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    for d, body in ((good, "radius,accuracy\n0.0,1.0\n"), (bad, text)):
+        d.mkdir()
+        (d / "curve.csv").write_text(body)
+    out = tmp_path / "rep"
+    assert cli.main(["report", str(good), str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 # ------------------------------------------------ flags, config, errors ---

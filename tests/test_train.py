@@ -1,10 +1,23 @@
+import inspect
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from smoothcert import data
-from smoothcert.nn import init_model
+import smoothcert
+from smoothcert import data, rng
+from smoothcert.nn import (
+    SgdState,
+    backward_batch,
+    cross_entropy_batch,
+    forward_batch,
+    init_model,
+    plain_step,
+    sgd_step,
+)
 from smoothcert.spectral import regularizer_and_gradient, spectral_report
 from smoothcert.train import EpochMetrics, TrainConfig, TrainingDiverged, evaluate, train
 
@@ -134,3 +147,109 @@ def test_regularized_training_decorrelates_rows():
         return float(np.abs(c[mask]).mean())
 
     assert offdiag_mean(reg) < offdiag_mean(base)
+
+
+def serial_train(model, X, y, cfg):
+    """The training loop written out serially from the public functions:
+    each batch's noise is drawn in line, just before its SGD step."""
+    m = X.shape[0]
+    sigma = float(np.sqrt(cfg.noise_variance))
+    state = SgdState.zeros_like(model)
+    history = []
+    for epoch in range(1, cfg.epochs + 1):
+        lr = cfg.lr_at(epoch)
+        perm = rng.stream(cfg.seed, rng.PHASE_SHUFFLE, epoch).permutation(m)
+        loss_sum, hit_sum = 0.0, 0
+        for b, start in enumerate(range(0, m, cfg.batch_size)):
+            idx = perm[start : start + cfg.batch_size]
+            if b == 0 and cfg.alpha > 0.0:
+                _, reg_grads = regularizer_and_gradient(model)
+                model = plain_step(model, reg_grads, lr * cfg.alpha)
+            Xb = X[idx]
+            if sigma > 0.0:
+                g = rng.stream(cfg.seed, rng.PHASE_TRAIN_NOISE, epoch, b)
+                Xb = Xb + sigma * g.standard_normal(Xb.shape)
+            logits, cache = forward_batch(model, Xb)
+            loss, dlogits = cross_entropy_batch(logits, y[idx])
+            grads = backward_batch(model, cache, dlogits)
+            model = sgd_step(model, grads, state, lr, cfg.momentum, cfg.weight_decay)
+            loss_sum += loss * idx.shape[0]
+            hit_sum += int(np.sum(np.argmax(logits, axis=1) == y[idx]))
+        reg_value, _ = regularizer_and_gradient(model)
+        history.append((loss_sum / m, hit_sum / m, reg_value, lr))
+    return model, history
+
+
+# (m, d, batch): 256 x 300 noise values per batch is above the 1 << 16 at
+# which batches are drawn ahead on threads (the last batch of 600 is
+# ragged); 64 x 9 is below it
+SHAPES = [(600, 300, 256), (300, 9, 64)]
+
+
+def shaped_problem(m, d, seed=3):
+    ds = data.synth_blobs(4, d - 1, m, spread=0.3, seed=seed)
+    return data.augment(ds.inputs), ds.labels
+
+
+@pytest.mark.parametrize("m, d, batch", SHAPES)
+def test_training_matches_serial_loop_bit_for_bit(m, d, batch):
+    X, y = shaped_problem(m, d)
+    cfg = quick_cfg(epochs=4, batch_size=batch, lr=0.1, lr_drops=((2, 10.0), (4, 2.0)),
+                    weight_decay=1e-4, noise_variance=0.12, alpha=0.1, seed=4)
+    model = init_model((d, 16, 16, 4), seed=2)
+    got, metrics = train(model, X, y, cfg)
+    want, history = serial_train(model, X, y, cfg)
+    for lg, lw in zip(got.layers, want.layers, strict=True):
+        assert np.array_equal(lg, lw)
+    assert [(e.loss, e.train_acc, e.reg_value, e.lr) for e in metrics] == history
+    assert [e.lr for e in metrics] == [0.1, 0.01, 0.01, 0.005]
+
+
+def _record_threads(monkeypatch):
+    """Wrap every public smoothcert function wherever a smoothcert module
+    binds it, as perfbench's tracer does; returns the set of thread ids the
+    wrappers ran on and the most threads seen alive inside one."""
+    seen = {"ids": set(), "alive": 0}
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            seen["ids"].add(threading.get_ident())
+            seen["alive"] = max(seen["alive"], threading.active_count())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "smoothcert" or n.startswith("smoothcert."))]
+    wrappers = {fn: wrap(fn) for m in modules for name, fn in vars(m).items()
+                if inspect.isfunction(fn) and not name.startswith("_")
+                and fn.__module__.startswith("smoothcert.")}
+    for m in modules:
+        for attr, value in list(vars(m).items()):
+            if inspect.isfunction(value) and value in wrappers:
+                monkeypatch.setattr(m, attr, wrappers[value])
+    return seen
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m, d, batch", SHAPES)
+def test_no_thread_outlives_training(monkeypatch, m, d, batch):
+    X, y = shaped_problem(m, d)
+    model = init_model((d, 8, 4), seed=0)
+    seen = _record_threads(monkeypatch)
+    before = threading.active_count()
+
+    # called through the package, where the wrapper is bound
+    smoothcert.train(model, X, y, quick_cfg(batch_size=batch))
+    assert threading.active_count() == before
+    # lr * weight_decay > 2 diverges (see test_divergence_raises_with_last_checkpoint)
+    with pytest.raises(TrainingDiverged):
+        smoothcert.train(model, X, y, quick_cfg(epochs=200, batch_size=batch, lr=100.0,
+                                                momentum=0.0, weight_decay=1.0))
+    assert threading.active_count() == before
+
+    # rng.stream and the nn/spectral steps run on the calling thread only
+    assert seen["ids"] == {threading.get_ident()}
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    pooled = batch * d >= 1 << 16 and cores > 1
+    assert (seen["alive"] > before) == pooled
