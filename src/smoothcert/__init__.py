@@ -28,7 +28,7 @@ from .data import (
     synth_blobs,
     synth_digits,
 )
-from .nn import Gradients, MlpModel, SgdState, init_model
+from .nn import MlpModel, init_model
 from .oracles import (
     AttackReport,
     binomial_tail,
@@ -72,10 +72,8 @@ __all__ = [
     "CertifyResult",
     "Dataset",
     "EpochMetrics",
-    "Gradients",
     "MlpModel",
     "NoiseConfig",
-    "SgdState",
     "SigmaSearchConfig",
     "SigmaSearchResult",
     "SpectralReport",

@@ -8,11 +8,13 @@ SMOOTHCERT_SEED stay text until the option's own argparse ``type`` converts
 and range-checks them, exactly as if the same text were given as a flag.
 Each run writes its fully resolved configuration as ``config.json`` beside
 its outputs, and all outputs are byte-reproducible for identical resolved
-configurations.
+configurations, except the wall-time ``seconds`` column of ``metrics.csv``.
 
 Exit codes: 0 success, 1 computational/runtime failure (malformed or empty
 data and checkpoint files among them), 2 bad flags, config values or
 SMOOTHCERT_SEED (before any data is read or ``--out`` is created).
+``train``, ``bound`` and ``report`` create ``--out`` only once their
+computation has succeeded, so a failed run of theirs leaves none behind.
 """
 
 from __future__ import annotations
@@ -207,7 +209,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _cmd_train(cfg: dict) -> int:
     ds = _load_dataset(cfg)
-    out = _out_dir(cfg)
     X = data.augment(ds.inputs)
     hidden = _parse_hidden(cfg["hidden"])
     model = init_model((X.shape[1], *hidden, ds.k), seed=cfg["seed"])
@@ -218,6 +219,7 @@ def _cmd_train(cfg: dict) -> int:
         alpha=cfg["alpha"], seed=cfg["seed"],
     )
     model, metrics = train(model, X, ds.labels, tc)
+    out = _out_dir(cfg)
     meta = {
         "k": ds.k, "input_dim_raw": ds.d, "augmented": True, "dataset": ds.name,
         "train_config": asdict(tc),  # JSON writes the lr_drops tuples as arrays
@@ -285,7 +287,7 @@ def _cmd_certify(cfg: dict) -> int:
         with ProcessPoolExecutor(
             max_workers=cfg["workers"], initializer=_certify_init, initargs=(payload,)
         ) as ex:
-            rows = sorted(ex.map(_certify_one, indices, chunksize=8))
+            rows = list(ex.map(_certify_one, indices, chunksize=8))
     else:
         _certify_init(payload)
         rows = [_certify_one(i) for i in indices]
@@ -312,7 +314,6 @@ def _cmd_certify(cfg: dict) -> int:
 
 def _cmd_bound(cfg: dict) -> int:
     ds, X, model = _load_model_and_data(cfg)
-    out = _out_dir(cfg)
     report = spectral.spectral_report(model)
     hidden_dims = model.dims[1:-1]
     h = cfg["h"] if cfg["h"] > 0 else (max(hidden_dims) if hidden_dims else model.out_dim)
@@ -323,14 +324,13 @@ def _cmd_bound(cfg: dict) -> int:
         per_layer_spectral=report.per_layer_spectral,
         per_layer_frobenius=report.per_layer_frobenius,
     )
+    psi_value = psi(inputs.gamma, inputs.B, tau_solve(inputs.d), inputs.n, inputs.h,
+                    inputs.per_layer_spectral)
+    if psi_value == 0.0:
+        raise ValueError("psi evaluated to 0; KL and bound are undefined")
     if cfg["empirical_loss"] is not None:
         loss = cfg["empirical_loss"]
     else:
-        tau = tau_solve(inputs.d)
-        psi_value = psi(inputs.gamma, inputs.B, tau, inputs.n, inputs.h,
-                        inputs.per_layer_spectral)
-        if psi_value <= 0.0:
-            raise ValueError("psi is 0; supply --empirical-loss explicitly")
         sig = float(np.sqrt(psi_value))
         noise = NoiseConfig(sigma_input=sig, sigma_weight=sig, base_seed=cfg["seed"])
         subset = min(ds.m, cfg["margin_subset"])
@@ -338,6 +338,7 @@ def _cmd_bound(cfg: dict) -> int:
             model, X[:subset], ds.labels[:subset], cfg["gamma"], noise, cfg["margin_votes"])
     pa, pb = cfg["pa"], cfg["pb"]
     bound = evaluate_bound(inputs, loss, pa=pa, pb=pb)
+    out = _out_dir(cfg)
     _write_json(out / "bound.json", asdict(bound))
     _write_json(out / "spectral.json", asdict(report))
     _write_json(out / "config.json", cfg)

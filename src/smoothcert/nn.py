@@ -89,32 +89,6 @@ class MlpModel:
         return q, p
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Per-layer gradient arrays, shapes matching the model's layers."""
-
-    layers: tuple[Matrix, ...]
-
-
-@dataclass
-class ForwardCache:
-    """Intermediate values kept by a cached forward pass for backward."""
-
-    inputs: tuple[Matrix, ...]    # layer inputs z_0 .. z_{n-1}
-    preacts: tuple[Matrix, ...]   # pre-activations a_1 .. a_n
-
-
-@dataclass
-class SgdState:
-    """Momentum velocity buffers, one per layer (mutated in place)."""
-
-    velocities: list[Matrix]
-
-    @classmethod
-    def zeros_like(cls, model: MlpModel) -> "SgdState":
-        return cls([np.zeros_like(w) for w in model.layers])
-
-
 def init_model(dims: Sequence[int], seed: int = 0) -> MlpModel:
     """He-style Gaussian init: entries ~ N(0, 2/fan_in), one stream per layer."""
     dims = [int(d) for d in dims]
@@ -128,38 +102,43 @@ def init_model(dims: Sequence[int], seed: int = 0) -> MlpModel:
     return MlpModel(tuple(layers))
 
 
-def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Logits (m, k) plus cache for a batch of row-vector inputs (m, d)."""
+def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, tuple[Matrix, ...]]:
+    """Logits (m, k) for a batch of row-vector inputs (m, d), and the tuple
+    of every layer's input, which ``backward_batch`` takes."""
     Z = np.asarray(X, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.in_dim:
         raise ValueError(
             f"input shape {Z.shape} incompatible with model input dim {model.in_dim}"
         )
-    inputs, preacts = [], []
+    inputs = []
     last = model.n_layers - 1
     for i, w in enumerate(model.layers):
         inputs.append(Z)
         A = Z @ w.T
-        preacts.append(A)
         Z = np.maximum(A, 0.0) if i != last else A
-    return Z, ForwardCache(tuple(inputs), tuple(preacts))
+    return Z, tuple(inputs)
 
 
-def backward_batch(model: MlpModel, cache: ForwardCache, upstream: np.ndarray) -> Gradients:
-    """Gradients of sum_r <upstream[r], logits[r]> over a batch (summed)."""
-    if not isinstance(cache, ForwardCache):
-        raise ValueError("backward_batch requires the ForwardCache from forward_batch")
-    if len(cache.inputs) != model.n_layers or len(cache.preacts) != model.n_layers:
-        raise ValueError("forward cache does not match the model's layer count")
+def backward_batch(
+    model: MlpModel, inputs: Sequence[Matrix], upstream: np.ndarray
+) -> tuple[Matrix, ...]:
+    """Per-layer gradients of sum_r <upstream[r], logits[r]> over a batch
+    (summed), from the layer inputs that ``forward_batch`` returned.
+
+    A hidden unit passes gradient where its ReLU output ``inputs[i]`` is
+    positive, which is where its pre-activation is.
+    """
+    if len(inputs) != model.n_layers:
+        raise ValueError("layer inputs do not match the model's layer count")
     delta = np.asarray(upstream, dtype=np.float64)
     if delta.ndim != 2 or delta.shape[1] != model.out_dim:
         raise ValueError(f"upstream shape {delta.shape} incompatible with batch backward")
     grads: list[Matrix] = [None] * model.n_layers  # type: ignore[list-item]
     for i in range(model.n_layers - 1, -1, -1):
-        grads[i] = delta.T @ cache.inputs[i]
+        grads[i] = delta.T @ inputs[i]
         if i > 0:
-            delta = (delta @ model.layers[i]) * (cache.preacts[i - 1] > 0.0)
-    return Gradients(tuple(grads))
+            delta = (delta @ model.layers[i]) * (inputs[i] > 0.0)
+    return tuple(grads)
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -183,8 +162,8 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
 
 def sgd_step(
     model: MlpModel,
-    grads: Gradients,
-    state: SgdState,
+    grads: Sequence[Matrix],
+    velocities: Sequence[Matrix],
     lr: float,
     momentum: float = 0.0,
     weight_decay: float = 0.0,
@@ -192,13 +171,13 @@ def sgd_step(
     """One classic momentum-SGD update; returns the updated model.
 
     v <- momentum*v + g + weight_decay*w ;  w <- w - lr*v.
-    Velocity buffers in ``state`` are updated in place.  Non-finite gradients
-    abort with FloatingPointError.
+    ``grads`` and ``velocities`` hold one array per layer; the velocities are
+    updated in place.  Non-finite gradients abort with FloatingPointError.
     """
-    if len(grads.layers) != model.n_layers or len(state.velocities) != model.n_layers:
-        raise ValueError("gradient/state layer count does not match the model")
+    if len(grads) != model.n_layers or len(velocities) != model.n_layers:
+        raise ValueError("gradient/velocity layer count does not match the model")
     new_layers = []
-    for i, (w, g, v) in enumerate(zip(model.layers, grads.layers, state.velocities)):
+    for i, (w, g, v) in enumerate(zip(model.layers, grads, velocities)):
         if g.shape != w.shape:
             raise ValueError(f"gradient shape {g.shape} != layer shape {w.shape} at layer {i}")
         if not np.isfinite(g).all():
@@ -210,11 +189,11 @@ def sgd_step(
     return MlpModel(tuple(new_layers))
 
 
-def plain_step(model: MlpModel, grads: Gradients, step_size: float) -> MlpModel:
+def plain_step(model: MlpModel, grads: Sequence[Matrix], step_size: float) -> MlpModel:
     """w <- w - step_size * g for every layer (no momentum, no decay)."""
-    if len(grads.layers) != model.n_layers:
+    if len(grads) != model.n_layers:
         raise ValueError("gradient layer count does not match the model")
-    for i, g in enumerate(grads.layers):
+    for i, g in enumerate(grads):
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in layer {i}")
-    return MlpModel(tuple(w - step_size * g for w, g in zip(model.layers, grads.layers)))
+    return MlpModel(tuple(w - step_size * g for w, g in zip(model.layers, grads)))

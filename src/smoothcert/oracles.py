@@ -204,26 +204,12 @@ def grid_attack(
         raise ValueError("votes_per_probe must be >= 1")
     if certified_class < 0:
         raise ValueError("certified_class must be a real class index (not ABSTAIN)")
-    if budget == 0.0:
-        # nothing to probe: a zero-radius certificate is vacuously clean
-        return AttackReport(
-            sample_index=sample_index,
-            certified_class=certified_class,
-            certified_radius=float(certified_radius),
-            budget=0.0,
-            grid_density=grid_density,
-            votes_per_probe=votes_per_probe,
-            n_probes=0,
-            n_flips=0,
-            min_flip_norm=None,
-            worst_perturbation=None,
-        )
-
     axis = np.linspace(-budget, budget, grid_density)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     probes = np.stack([a.ravel() for a in grids], axis=1)
     norms = np.linalg.norm(probes, axis=1)
-    keep = norms <= budget + 1e-12
+    # a zero budget probes nothing: a zero-radius certificate is vacuously clean
+    keep = (norms <= budget + 1e-12) & (budget > 0.0)
     probes, norms = probes[keep], norms[keep]
 
     n_flips = 0

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .nn import Gradients, Matrix, MlpModel, _as_f64
+from .nn import Matrix, MlpModel, _as_f64
 
 
 def spectral_norm(m: Matrix) -> float:
@@ -84,8 +84,9 @@ def mean_abs_offdiag(m) -> float:
     return float(np.abs(c[~np.eye(k, dtype=bool)]).mean())
 
 
-def regularizer_and_gradient(model: MlpModel) -> tuple[float, Gradients]:
-    """Entrywise L1 norm of the collapsed-weight cosine matrix, with gradients.
+def regularizer_and_gradient(model: MlpModel) -> tuple[float, tuple[Matrix, ...]]:
+    """Entrywise L1 norm of the collapsed-weight cosine matrix, with its
+    gradient as one array per layer.
 
     Value: sum_{i,j} |cos(w_i, w_j)| over rows of the collapsed matrix (the
     diagonal contributes exactly k and carries no gradient).  Gradients are
@@ -132,7 +133,7 @@ def regularizer_and_gradient(model: MlpModel) -> tuple[float, Gradients]:
         if rights[i] is not None:
             g = g @ rights[i].T
         grads.append(g)
-    return value, Gradients(tuple(grads))
+    return value, tuple(grads)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ import numpy as np
 from . import rng
 from .nn import (
     MlpModel,
-    SgdState,
     backward_batch,
     cross_entropy_batch,
     forward_batch,
@@ -140,7 +139,7 @@ def train(
     if m == 0:
         raise ValueError("need at least one training example")
     sigma = float(np.sqrt(cfg.noise_variance))
-    state = SgdState.zeros_like(model)
+    velocities = [np.zeros_like(w) for w in model.layers]
     metrics: list[EpochMetrics] = []
     checkpoint = model
     n_batches = -(-m // cfg.batch_size)
@@ -171,12 +170,12 @@ def train(
                     _, reg_grads = regularizer_and_gradient(model)
                     model = plain_step(model, reg_grads, lr * cfg.alpha)
                 idx, Xb = next(batches)
-                logits, cache = forward_batch(model, Xb)
+                logits, layer_inputs = forward_batch(model, Xb)
                 loss, dlogits = cross_entropy_batch(logits, y[idx])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(epoch, checkpoint, metrics)
-                grads = backward_batch(model, cache, dlogits)
-                model = sgd_step(model, grads, state, lr, cfg.momentum, cfg.weight_decay)
+                grads = backward_batch(model, layer_inputs, dlogits)
+                model = sgd_step(model, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
                 loss_sum += loss * idx.shape[0]
                 hit_sum += int(np.sum(np.argmax(logits, axis=1) == y[idx]))
             reg_value, _ = regularizer_and_gradient(model)

@@ -436,13 +436,13 @@ def test_criterion_8_invariant_suite(criterion, tmp_path):
                 layers[li] = Wl
                 return spectral.regularizer_and_gradient(MlpModel(layers=tuple(layers)))[0]
             fd = central_diff(reg, mdl.layers[li].copy(), step=1e-6)
-            err = np.max(np.abs(fd - reg_grads.layers[li])) / max(np.max(np.abs(fd)), 1e-12)
+            err = np.max(np.abs(fd - reg_grads[li])) / max(np.max(np.abs(fd)), 1e-12)
             c.check(err < 1e-4, f"regularizer FD mismatch {err:.2e} at layer {li}")
 
         x0, label = X[:1], np.array([1])
-        logits, cache = nn.forward_batch(mdl, x0)
+        logits, inputs = nn.forward_batch(mdl, x0)
         _, dlogits = nn.cross_entropy_batch(logits, label)
-        net_grads = nn.backward_batch(mdl, cache, dlogits)
+        net_grads = nn.backward_batch(mdl, inputs, dlogits)
         for li in range(len(mdl.layers)):
             def loss(Wl, li=li):
                 layers = list(mdl.layers)
@@ -450,7 +450,7 @@ def test_criterion_8_invariant_suite(criterion, tmp_path):
                 return nn.cross_entropy_batch(
                     nn.forward_batch(MlpModel(layers=tuple(layers)), x0)[0], label)[0]
             fd = central_diff(loss, mdl.layers[li].copy(), step=1e-5)
-            err = np.max(np.abs(fd - net_grads.layers[li])) / max(np.max(np.abs(fd)), 1e-12)
+            err = np.max(np.abs(fd - net_grads[li])) / max(np.max(np.abs(fd)), 1e-12)
             c.check(err < 1e-6, f"network FD mismatch {err:.2e} at layer {li}")
 
 

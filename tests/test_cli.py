@@ -104,6 +104,15 @@ def test_train_stdout(tmp_path, capsys):
     assert "regularizer" in out
 
 
+def test_train_diverged_exits_1(tmp_path, capsys):
+    out = tmp_path / "t"
+    rc = cli.main(["train", "--out", str(out), *DATA_FLAGS, "--hidden", "8",
+                   "--epochs", "2", "--lr", "1e300", "--seed", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: training diverged")
+    assert not out.exists()
+
+
 def test_train_synth_digits(tmp_path):
     out = tmp_path / "dig"
     rc = cli.main(["train", "--out", str(out), "--synth-kind", "digits",
@@ -304,6 +313,19 @@ def test_bound_gamma_zero_usage_error(checkpoint, tmp_path, capsys):
                   "--out", str(out), *DATA_FLAGS, "--gamma", "0.0"])
     assert e.value.code == 2
     assert "--gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loss_flags", [[], ["--empirical-loss", "0.1"]])
+def test_bound_psi_underflow_exits_1(checkpoint, tmp_path, capsys, loss_flags):
+    # gamma 1e-200 underflows psi to 0: the margin loss and the KL term
+    # are both undefined, so an explicit loss changes nothing
+    out = tmp_path / "b"
+    rc = cli.main(["bound", "--checkpoint", checkpoint, "--out", str(out),
+                   *DATA_FLAGS, "--gamma", "1e-200", *loss_flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: psi evaluated to 0; KL and bound are undefined\n"
     assert not out.exists()
 
 

@@ -5,9 +5,7 @@ import pytest
 
 from smoothcert import rng
 from smoothcert.nn import (
-    Gradients,
     MlpModel,
-    SgdState,
     backward_batch,
     cross_entropy_batch,
     forward_batch,
@@ -88,9 +86,9 @@ def test_row_basis_spans_first_layer_rows():
 
 def test_backward_zero_upstream_gives_zero_grads(tiny_model):
     x = rng.stream(3, 98).standard_normal(6)
-    _, cache = forward_batch(tiny_model, x[None, :])
-    grads = backward_batch(tiny_model, cache, np.zeros((1, 3)))
-    for g in grads.layers:
+    _, inputs = forward_batch(tiny_model, x[None, :])
+    grads = backward_batch(tiny_model, inputs, np.zeros((1, 3)))
+    for g in grads:
         assert np.all(g == 0.0)
 
 
@@ -104,8 +102,8 @@ def test_backward_finite_difference():
         out = logits_of(model_, x)
         return float(out @ target)
 
-    _, cache = forward_batch(model, x[None, :])
-    grads = backward_batch(model, cache, target[None, :])
+    _, inputs = forward_batch(model, x[None, :])
+    grads = backward_batch(model, inputs, target[None, :])
     for li in range(len(model.layers)):
         def f(w, li=li):
             layers = list(model.layers)
@@ -113,73 +111,91 @@ def test_backward_finite_difference():
             return loss_of(MlpModel(tuple(layers)))
 
         fd = central_diff(f, model.layers[li].copy(), step=1e-5)
-        assert relative_error(grads.layers[li], fd) < 1e-6
+        assert relative_error(grads[li], fd) < 1e-6
 
 
 def test_backward_batch_sums_per_sample_grads():
     model = rand_model((4, 3, 2), seed=5)
     X = rng.stream(6, 98).standard_normal((7, 4))
     U = rng.stream(7, 98).standard_normal((7, 2))
-    _, cache = forward_batch(model, X)
-    got = backward_batch(model, cache, U)
+    _, inputs = forward_batch(model, X)
+    got = backward_batch(model, inputs, U)
     want = [np.zeros_like(L) for L in model.layers]
     for i in range(7):
-        _, ci = forward_batch(model, X[i : i + 1])
-        gi = backward_batch(model, ci, U[i : i + 1])
-        for j, gl in enumerate(gi.layers):
+        _, ii = forward_batch(model, X[i : i + 1])
+        gi = backward_batch(model, ii, U[i : i + 1])
+        for j, gl in enumerate(gi):
             want[j] += gl
     for j in range(len(want)):
-        assert np.allclose(got.layers[j], want[j], rtol=1e-12, atol=1e-12)
+        assert np.allclose(got[j], want[j], rtol=1e-12, atol=1e-12)
+
+
+def test_backward_relu_derivative_at_zero_is_zero():
+    # for x = (1, 2) the hidden pre-activations are 1 - 0.5*2 = 0.0 exactly,
+    # a zero from all-(-0.0) weights, and 3
+    x = np.array([[1.0, 2.0]])
+    model = model_of([[1.0, -0.5], [-0.0, -0.0], [1.0, 1.0]],
+                     [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    logits, inputs = forward_batch(model, x)
+    assert np.array_equal(logits, [[9.0, 18.0]])
+    # a BLAS sum may turn -0.0 into 0.0, so the exact zeros are also given
+    # by hand, raw and through the ReLU
+    preacts = np.array([[0.0, -0.0, 3.0]])
+    for hidden in (inputs[1], np.maximum(preacts, 0.0), preacts):
+        grads = backward_batch(model, (x, hidden), np.array([[1.0, -1.0]]))
+        # upstream @ W1 = (-3, -3, -3) reaches layer 0 through unit 2 only
+        assert np.array_equal(grads[0], [[0.0, 0.0], [0.0, 0.0], [-3.0, -6.0]])
+        assert np.array_equal(grads[1], [[0.0, 0.0, 3.0], [0.0, 0.0, -3.0]])
 
 
 # ---------------------------------------------------------------- optimizer
 
 def test_sgd_single_step_plain():
     m = model_of([[1.0]])
-    st = SgdState(velocities=tuple(np.zeros((1, 1)) for _ in range(1)))
-    g = Gradients(layers=(np.array([[1.0]]),))
-    out = sgd_step(m, g, st, lr=0.1, momentum=0.0, weight_decay=0.0)
+    vs = [np.zeros((1, 1))]
+    g = (np.array([[1.0]]),)
+    out = sgd_step(m, g, vs, lr=0.1, momentum=0.0, weight_decay=0.0)
     assert out.layers[0][0, 0] == pytest.approx(0.9, abs=0)
 
 
 def test_sgd_two_steps_momentum_hand_recurrence():
     # v1 = 1, w1 = -0.1 ; v2 = 0.9 + 1 = 1.9, w2 = -0.1 - 0.19 = -0.29
     m = model_of([[0.0]])
-    st = SgdState(velocities=(np.zeros((1, 1)),))
-    g = Gradients(layers=(np.array([[1.0]]),))
-    m = sgd_step(m, g, st, lr=0.1, momentum=0.9)
-    m = sgd_step(m, g, st, lr=0.1, momentum=0.9)
+    vs = [np.zeros((1, 1))]
+    g = (np.array([[1.0]]),)
+    m = sgd_step(m, g, vs, lr=0.1, momentum=0.9)
+    m = sgd_step(m, g, vs, lr=0.1, momentum=0.9)
     assert m.layers[0][0, 0] == pytest.approx(-0.29, abs=1e-15)
 
 
 def test_sgd_lr_zero_leaves_model_unchanged(tiny_model):
-    st = SgdState(velocities=tuple(np.zeros_like(L) for L in tiny_model.layers))
-    g = Gradients(layers=tuple(np.ones_like(L) for L in tiny_model.layers))
-    out = sgd_step(tiny_model, g, st, lr=0.0, momentum=0.9)
+    vs = [np.zeros_like(L) for L in tiny_model.layers]
+    g = tuple(np.ones_like(L) for L in tiny_model.layers)
+    out = sgd_step(tiny_model, g, vs, lr=0.0, momentum=0.9)
     for a, b in zip(out.layers, tiny_model.layers):
         assert np.array_equal(a, b)
 
 
 def test_sgd_weight_decay_shrinks_weights():
     m = model_of([[2.0]])
-    st = SgdState(velocities=(np.zeros((1, 1)),))
-    g = Gradients(layers=(np.array([[0.0]]),))
-    out = sgd_step(m, g, st, lr=0.1, momentum=0.0, weight_decay=0.5)
+    vs = [np.zeros((1, 1))]
+    g = (np.array([[0.0]]),)
+    out = sgd_step(m, g, vs, lr=0.1, momentum=0.0, weight_decay=0.5)
     # v = 0 + 0 + 0.5*2 = 1 ; w = 2 - 0.1
     assert out.layers[0][0, 0] == pytest.approx(1.9, abs=1e-15)
 
 
 def test_sgd_rejects_nonfinite_gradient():
     m = model_of([[1.0]])
-    st = SgdState(velocities=(np.zeros((1, 1)),))
-    g = Gradients(layers=(np.array([[np.nan]]),))
+    vs = [np.zeros((1, 1))]
+    g = (np.array([[np.nan]]),)
     with pytest.raises(FloatingPointError):
-        sgd_step(m, g, st, lr=0.1)
+        sgd_step(m, g, vs, lr=0.1)
 
 
 def test_plain_step():
     m = model_of([[1.0, 2.0]])
-    g = Gradients(layers=(np.array([[1.0, -1.0]]),))
+    g = (np.array([[1.0, -1.0]]),)
     out = plain_step(m, g, 0.5)
     assert np.allclose(out.layers[0], [[0.5, 2.5]])
 

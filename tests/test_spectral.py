@@ -170,7 +170,7 @@ def test_regularizer_orthonormal_rows():
     q = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     value, grads = regularizer_and_gradient(MlpModel((q,)))
     assert value == pytest.approx(2.0, abs=0)
-    assert np.all(grads.layers[0] == 0.0)
+    assert np.all(grads[0] == 0.0)
 
 
 def test_regularizer_hand_example_value_and_gradient():
@@ -179,7 +179,7 @@ def test_regularizer_hand_example_value_and_gradient():
     assert value == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
     s = math.sqrt(2.0)
     want = np.array([[0.0, s], [s / 2.0, -s / 2.0]])
-    assert np.allclose(grads.layers[0], want, rtol=1e-12, atol=1e-15)
+    assert np.allclose(grads[0], want, rtol=1e-12, atol=1e-15)
 
 
 def test_regularizer_gradient_finite_difference():
@@ -202,7 +202,7 @@ def test_regularizer_gradient_finite_difference():
             down = value_at(layers)
             fd[idx] = (up - down) / (2.0 * step)
         scale = max(np.abs(fd).max(), 1.0)
-        worst = max(worst, float(np.abs(grads.layers[li] - fd).max() / scale))
+        worst = max(worst, float(np.abs(grads[li] - fd).max() / scale))
     assert worst < 1e-4
 
 

@@ -10,7 +10,6 @@ import pytest
 import smoothcert
 from smoothcert import data, rng
 from smoothcert.nn import (
-    SgdState,
     backward_batch,
     cross_entropy_batch,
     forward_batch,
@@ -154,7 +153,7 @@ def serial_train(model, X, y, cfg):
     each batch's noise is drawn in line, just before its SGD step."""
     m = X.shape[0]
     sigma = float(np.sqrt(cfg.noise_variance))
-    state = SgdState.zeros_like(model)
+    velocities = [np.zeros_like(w) for w in model.layers]
     history = []
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr_at(epoch)
@@ -169,10 +168,10 @@ def serial_train(model, X, y, cfg):
             if sigma > 0.0:
                 g = rng.stream(cfg.seed, rng.PHASE_TRAIN_NOISE, epoch, b)
                 Xb = Xb + sigma * g.standard_normal(Xb.shape)
-            logits, cache = forward_batch(model, Xb)
+            logits, inputs = forward_batch(model, Xb)
             loss, dlogits = cross_entropy_batch(logits, y[idx])
-            grads = backward_batch(model, cache, dlogits)
-            model = sgd_step(model, grads, state, lr, cfg.momentum, cfg.weight_decay)
+            grads = backward_batch(model, inputs, dlogits)
+            model = sgd_step(model, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
             loss_sum += loss * idx.shape[0]
             hit_sum += int(np.sum(np.argmax(logits, axis=1) == y[idx]))
         reg_value, _ = regularizer_and_gradient(model)
