@@ -1,14 +1,14 @@
 """Command-line interface: train / sigma / certify / bound / report.
 
-Every option can also come from a flat key=value config file (``--config``):
-explicit command-line flags win over the file, the file wins over built-in
-defaults.  ``--seed`` falls back to the SMOOTHCERT_SEED environment variable
-when neither the flag nor the file sets it.  Config-file values and
-SMOOTHCERT_SEED stay text until the option's own argparse ``type`` converts
-and range-checks them, exactly as if the same text were given as a flag.
-Each run writes its fully resolved configuration as ``config.json`` beside
-its outputs, and all outputs are byte-reproducible for identical resolved
-configurations, except the wall-time ``seconds`` column of ``metrics.csv``.
+A flat key=value config file (``--config``) is a list of flags, ``key =
+value`` for ``--key value`` and ``full_scan = true`` for ``--full-scan``,
+parsed ahead of the command line's own flags: those win over the file, and
+the file wins over built-in defaults.  ``--seed`` falls back to the
+SMOOTHCERT_SEED environment variable, which its argparse ``type`` checks as
+it does a flag.  After a command succeeds, ``main`` writes the fully
+resolved configuration as ``config.json`` beside its outputs; all outputs
+are byte-reproducible for identical resolved configurations, except the
+wall-time ``seconds`` column of ``metrics.csv``.
 
 Exit codes: 0 success, 1 computational/runtime failure (malformed or empty
 data and checkpoint files among them), 2 bad flags, config values or
@@ -88,8 +88,6 @@ _PROB = _checked(float, lambda v: 0.0 < v < 1.0, "a probability in (0, 1)")
 _UNIT = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _MOMENTUM = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 _SYNTH_KIND = _checked(str, lambda v: v in ("blobs", "digits"), "'blobs' or 'digits'")
-_TRUE_FALSE = _checked(lambda t: {"true": True, "false": False}.get(t.lower()),
-                       lambda v: v is not None, "true or false")
 # text options that hold numbers: checked here, kept as text in config.json
 _HIDDEN = _checked(str, lambda t: all(w >= 1 for w in _parse_hidden(t)),
                    "comma-separated widths >= 1")
@@ -105,15 +103,16 @@ class _Help(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
-def _read_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines with '#' comments; values are quoted or bare
-    text, left for each option's ``type`` to convert."""
-    options = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+def _read_config(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flags a file of ``key = value`` lines ('#' comments, values quoted
+    or bare) stands for: ``--key value``, or for the switch ``full_scan`` the
+    bare ``--full-scan`` if ``true`` and nothing if ``false``."""
+    actions = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as e:
         parser.error(str(e))
-    values: dict[str, str] = {}
+    tokens: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -123,7 +122,7 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
         where = f"{path}:{lineno}"
         if not eq:
             parser.error(f"{where}: expected 'key = value', got {line!r}")
-        if key not in options:
+        if key not in actions:
             parser.error(f"{where}: unknown config key {key!r}")
         if raw[:1] in ("'", '"'):
             raw, end, _ = raw[1:].partition(raw[0])
@@ -131,12 +130,14 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
                 parser.error(f"{where}: unterminated string")
         else:
             raw = raw.split("#", 1)[0].strip()
-        if parser._parse_optional(raw) is not None:
-            # as a flag's value this text would be read as an option, and
-            # the flag would be missing its argument
-            parser.error(f"{where}: {key} value {raw!r} would be read as an option")
-        values[key] = raw
-    return values
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0:
+            tokens += [flag, raw]
+        elif raw.lower() not in ("true", "false"):
+            parser.error(f"{where}: {key} expects true or false, got {raw!r}")
+        elif raw.lower() == "true":
+            tokens.append(flag)
+    return tokens
 
 
 def _dataset_opts(p: argparse.ArgumentParser) -> None:
@@ -207,7 +208,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 # ------------------------------------------------------------- commands ---
 
 
-def _cmd_train(cfg: dict) -> int:
+def _cmd_train(cfg: dict) -> None:
     ds = _load_dataset(cfg)
     X = data.augment(ds.inputs)
     hidden = _parse_hidden(cfg["hidden"])
@@ -228,14 +229,12 @@ def _cmd_train(cfg: dict) -> int:
     _write_csv(out / "metrics.csv", METRICS_HEADER,
                [(m.epoch, m.loss, m.train_acc, m.reg_value, m.seconds) for m in metrics])
     _write_json(out / "spectral.json", asdict(spectral.spectral_report(model)))
-    _write_json(out / "config.json", cfg)
     last = metrics[-1]
     print(f"trained {len(metrics)} epochs: loss {last.loss:.4f}, "
           f"train acc {last.train_acc:.4f}, regularizer {last.reg_value:.4f}")
-    return 0
 
 
-def _cmd_sigma(cfg: dict) -> int:
+def _cmd_sigma(cfg: dict) -> None:
     ds, X, model = _load_model_and_data(cfg)
     out = _out_dir(cfg)
     sc = SigmaSearchConfig(
@@ -250,10 +249,8 @@ def _cmd_sigma(cfg: dict) -> int:
         "base_accuracy": result.base_accuracy,
     })
     _write_csv(out / "trace.csv", TRACE_HEADER, result.trace)
-    _write_json(out / "config.json", cfg)
     flag = " (flagged: no grid point qualified)" if result.flagged_none_qualified else ""
     print(f"selected sigma2 = {result.sigma2}{flag}")
-    return 0
 
 
 _WORKER: dict = {}
@@ -271,7 +268,7 @@ def _certify_one(i: int) -> tuple[int, int, float, float]:
     return i, res.predicted, res.pa_lower, res.radius
 
 
-def _cmd_certify(cfg: dict) -> int:
+def _cmd_certify(cfg: dict) -> None:
     ds, X, model = _load_model_and_data(cfg)
     out = _out_dir(cfg)
     sigma_w = cfg["sigma_weight2"]
@@ -305,14 +302,12 @@ def _cmd_certify(cfg: dict) -> int:
     _write_csv(out / "curve.csv", CURVE_HEADER, curve)
     plot.emit_plot(out / "curve.svg", {"certified accuracy": curve},
                    title="Certified accuracy", x_label="radius", y_label="accuracy")
-    _write_json(out / "config.json", cfg)
     n_abstain = predicted.count(ABSTAIN)
     print(f"certified {ds.m} samples: accuracy at r=0 is {accs[0]:.4f}, "
           f"{n_abstain} abstentions")
-    return 0
 
 
-def _cmd_bound(cfg: dict) -> int:
+def _cmd_bound(cfg: dict) -> None:
     ds, X, model = _load_model_and_data(cfg)
     report = spectral.spectral_report(model)
     hidden_dims = model.dims[1:-1]
@@ -341,11 +336,9 @@ def _cmd_bound(cfg: dict) -> int:
     out = _out_dir(cfg)
     _write_json(out / "bound.json", asdict(bound))
     _write_json(out / "spectral.json", asdict(report))
-    _write_json(out / "config.json", cfg)
     tag = " (vacuous)" if bound.vacuous else ""
     print(f"bound = {bound.bound_value:.6f}{tag}, kl = {bound.kl_term:.6g}, "
           f"psi = {bound.psi:.6g}")
-    return 0
 
 
 def _step_interp(points: list[tuple[float, float]], r: float) -> float:
@@ -359,7 +352,7 @@ def _step_interp(points: list[tuple[float, float]], r: float) -> float:
     return acc
 
 
-def _cmd_report(cfg: dict) -> int:
+def _cmd_report(cfg: dict) -> None:
     runs: dict[str, list[tuple[float, float]]] = {}
     extras: dict[str, dict] = {}
     for d in cfg["dirs"]:
@@ -412,9 +405,7 @@ def _cmd_report(cfg: dict) -> int:
         _write_csv(out / "spectral_trends.csv",
                    ["run", "collapsed_spectral", "product_spectral", "gershgorin",
                     "mean_abs_offdiag_cosine", "sigma2"], spectral_rows)
-    _write_json(out / "config.json", cfg)
     print(f"merged {len(runs)} runs over {len(union)} radius grid points")
-    return 0
 
 
 # ----------------------------------------------------------------- main ---
@@ -464,10 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tolerance", default=0.02, type=_NONNEG_FLOAT,
                    help="max mean accuracy drop")
     s.add_argument("--eval-subset", default=2048, type=_POS_INT, help="evaluation subset size")
-    # the type converts config-file text; the bare flag stores True
     s.add_argument("--full-scan", action="store_true",
-                   help="scan the whole grid instead of stopping at the first violation"
-                   ).type = _TRUE_FALSE
+                   help="scan the whole grid instead of stopping at the first violation")
     _seed_opt(s)
 
     c = command("certify", "certify per-sample L2 radii by Monte-Carlo voting", _cmd_certify)
@@ -523,12 +512,14 @@ _REQUIRED = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     ns = parser.parse_args(argv)
     sub: argparse.ArgumentParser = ns._parser
     if ns.config is not None:
-        # config text becomes the defaults; parsing again converts and checks it
-        sub.set_defaults(**_read_config(sub, ns.config))
-        ns = parser.parse_args(argv)
+        # the file's flags go right after the command name, so the command
+        # line's own flags come later and win
+        i = argv.index(ns.command) + 1
+        ns = parser.parse_args(argv[:i] + _read_config(sub, ns.config) + argv[i:])
     cfg = {k: v for k, v in vars(ns).items() if not k.startswith("_")}
     for key in _REQUIRED[ns.command]:
         if cfg[key] is None:
@@ -547,10 +538,12 @@ def main(argv=None) -> int:
         if val and not Path(val).exists():
             sub.error(f"--{key}: no such file: {val}")
     try:
-        return ns._run(cfg)
+        ns._run(cfg)
+        _write_json(Path(cfg["out"]) / "config.json", cfg)
     except (ValueError, OSError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -95,15 +95,18 @@ def regularizer_and_gradient(model: MlpModel) -> tuple[float, tuple[Matrix, ...]
     left/right partial products.  Zero rows are excluded from the gradient,
     mirroring correlation_matrix's handling.
     """
-    W = collapsed_weight(model)
+    n = model.n_layers
+    rights: list[Matrix] = [None] * n  # type: ignore[list-item]
+    acc = None
+    for i in range(n):  # rights[i] = W_{i-1} ... W_0, identity for i == 0
+        rights[i] = acc
+        acc = model.layers[i] if acc is None else model.layers[i] @ acc
+    W = acc  # the collapsed weight, multiplied in collapsed_weight's order
     cos, norms, units, zero_rows = _row_cosines(W)
     value = float(np.abs(cos).sum())
 
     sign = np.sign(cos)
     np.fill_diagonal(sign, 0.0)
-    if zero_rows.size:
-        sign[zero_rows, :] = 0.0
-        sign[:, zero_rows] = 0.0
 
     # d(value)/d(unit rows) = 2 * sign @ units, then project each row onto the
     # tangent space of its unit sphere and divide by the row norm.
@@ -114,13 +117,8 @@ def regularizer_and_gradient(model: MlpModel) -> tuple[float, tuple[Matrix, ...]
     if zero_rows.size:
         dW[zero_rows, :] = 0.0
 
-    # Chain through the product W = L_i @ layer_i @ R_i via cached partials.
-    n = model.n_layers
-    rights: list[Matrix] = [None] * n  # type: ignore[list-item]
-    acc = None
-    for i in range(n):  # rights[i] = W_{i-1} ... W_0, identity for i == 0
-        rights[i] = acc
-        acc = model.layers[i] if acc is None else model.layers[i] @ acc
+    # Chain through the product W = L_i @ layer_i @ R_i via the partial
+    # products: rights above, lefts below.
     lefts: list[Matrix] = [None] * n  # type: ignore[list-item]
     acc = None
     for i in range(n - 1, -1, -1):  # lefts[i] = W_{n-1} ... W_{i+1}

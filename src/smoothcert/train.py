@@ -3,9 +3,10 @@
 Each minibatch sees fresh Gaussian input noise (variance
 ``noise_variance``), standard momentum SGD updates the weights, and -- when
 the regularizer strength ``alpha`` is positive -- the entrywise L1 norm of
-the collapsed-weight cosine matrix is differentiated ONCE per epoch, at the
-first minibatch, and applied as a separate plain gradient step at the
-current learning rate.  Training is bit-reproducible for a fixed config and
+the collapsed-weight cosine matrix is differentiated ONCE per epoch, on the
+end-of-epoch weights (and once on the initial ones), and applied before the
+next epoch's first minibatch as a separate plain gradient step at that
+epoch's learning rate.  Training is bit-reproducible for a fixed config and
 seed: epoch ``e``'s shuffle comes from ``stream(seed, PHASE_SHUFFLE, e)``
 and its batch ``b``'s noise from ``stream(seed, PHASE_TRAIN_NOISE, e, b)``,
 one ``standard_normal`` of the batch's shape added to ``X[idx]``.
@@ -108,11 +109,11 @@ class EpochMetrics:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss goes non-finite; carries the last end-of-epoch
-    checkpoint and the metrics gathered so far."""
+    """Raised when training overflows or goes non-finite; carries the last
+    end-of-epoch checkpoint and the metrics gathered so far."""
 
     def __init__(self, epoch: int, model: MlpModel, metrics: list[EpochMetrics]):
-        super().__init__(f"training diverged (non-finite loss) in epoch {epoch}")
+        super().__init__(f"training diverged (non-finite values) in epoch {epoch}")
         self.epoch = epoch
         self.model = model
         self.metrics = metrics
@@ -159,37 +160,42 @@ def train(
 
     noise_values = min(m, cfg.batch_size) * X.shape[1] if sigma > 0.0 else 0
     threads = _usable_cores() if noise_values >= _AHEAD_MIN_VALUES else 1
-    with _ahead(noisy_batch, plan(), threads) as batches:
-        for epoch in range(1, cfg.epochs + 1):
-            lr = cfg.lr_at(epoch)
-            t0 = time.perf_counter()
-            loss_sum = 0.0
-            hit_sum = 0
-            for b in range(n_batches):
-                if b == 0 and cfg.alpha > 0.0:
-                    _, reg_grads = regularizer_and_gradient(model)
+    try:
+        with np.errstate(over="raise", invalid="raise"), \
+                _ahead(noisy_batch, plan(), threads) as batches:
+            if cfg.alpha > 0.0:
+                _, reg_grads = regularizer_and_gradient(model)
+            for epoch in range(1, cfg.epochs + 1):
+                lr = cfg.lr_at(epoch)
+                t0 = time.perf_counter()
+                if cfg.alpha > 0.0:
                     model = plain_step(model, reg_grads, lr * cfg.alpha)
-                idx, Xb = next(batches)
-                logits, layer_inputs = forward_batch(model, Xb)
-                loss, dlogits = cross_entropy_batch(logits, y[idx])
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(epoch, checkpoint, metrics)
-                grads = backward_batch(model, layer_inputs, dlogits)
-                model = sgd_step(model, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
-                loss_sum += loss * idx.shape[0]
-                hit_sum += int(np.sum(np.argmax(logits, axis=1) == y[idx]))
-            reg_value, _ = regularizer_and_gradient(model)
-            metrics.append(
-                EpochMetrics(
-                    epoch=epoch,
-                    loss=loss_sum / m,
-                    train_acc=hit_sum / m,
-                    reg_value=reg_value,
-                    seconds=time.perf_counter() - t0,
-                    lr=lr,
+                loss_sum = 0.0
+                hit_sum = 0
+                for _ in range(n_batches):
+                    idx, Xb = next(batches)
+                    logits, layer_inputs = forward_batch(model, Xb)
+                    loss, dlogits = cross_entropy_batch(logits, y[idx])
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(epoch, checkpoint, metrics)
+                    grads = backward_batch(model, layer_inputs, dlogits)
+                    model = sgd_step(model, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
+                    loss_sum += loss * idx.shape[0]
+                    hit_sum += int(np.sum(np.argmax(logits, axis=1) == y[idx]))
+                reg_value, reg_grads = regularizer_and_gradient(model)
+                metrics.append(
+                    EpochMetrics(
+                        epoch=epoch,
+                        loss=loss_sum / m,
+                        train_acc=hit_sum / m,
+                        reg_value=reg_value,
+                        seconds=time.perf_counter() - t0,
+                        lr=lr,
+                    )
                 )
-            )
-            checkpoint = model
+                checkpoint = model
+    except FloatingPointError:
+        raise TrainingDiverged(len(metrics) + 1, checkpoint, metrics) from None
     return model, metrics
 
 

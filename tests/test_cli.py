@@ -113,6 +113,18 @@ def test_train_diverged_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_diverged_prints_one_error_line(tmp_path):
+    # numpy's overflow warnings must not reach stderr ahead of the error
+    out = tmp_path / "t"
+    res = subprocess.run([sys.executable, "-m", "smoothcert.cli", "train", "--out", str(out),
+                          *DATA_FLAGS, "--hidden", "8", "--epochs", "2", "--lr", "1e300"],
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: training diverged"), res.stderr
+    assert not out.exists()
+
+
 def test_train_synth_digits(tmp_path):
     out = tmp_path / "dig"
     rc = cli.main(["train", "--out", str(out), "--synth-kind", "digits",
@@ -533,6 +545,19 @@ def test_config_bad_value_usage_error(tmp_path):
     assert e.value.code == 2
 
 
+def test_config_bad_value_usage_error_under_overriding_flag(tmp_path):
+    # the file is parsed as flags, so its bad value is rejected even though
+    # the command line's --epochs wins
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("epochs = 0\n")
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["train", "--config", str(cfg_file), "--out", str(out), *DATA_FLAGS,
+                  "--hidden", "4", "--epochs", "1"])
+    assert e.value.code == 2
+    assert not out.exists()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("SMOOTHCERT_SEED", "123")
     out = tmp_path / "env"
@@ -614,7 +639,7 @@ def _subcommands():
 
 
 def test_bad_value_table_covers_every_checked_option():
-    not_numeric = {None, str, cli._SYNTH_KIND, cli._TRUE_FALSE}
+    not_numeric = {None, str, cli._SYNTH_KIND}
     for name, sub in _subcommands().items():
         checked = {a.option_strings[0][2:] for a in sub._actions
                    if a.option_strings and a.type not in not_numeric}
@@ -695,8 +720,9 @@ def _run_in(directory, argv, out):
 
 
 _PROPERTY_KEYS = [(name, a.dest) for name, sub in _subcommands().items()
-                  if name in ("train", "certify")
-                  for a in sub._actions if a.option_strings and a.dest not in ("help", "config")]
+                  if name != "report"
+                  for a in sub._actions if a.option_strings and a.nargs != 0
+                  and a.dest not in ("help", "config")]
 _TOKENS = ["0", "1", "2", "3", "-3", "0001", "0.5", "1.5", "1e-3", "nan", "inf", "-inf",
            "true", "false", "abc", "", "digits", "blobs", "4,4", "1:2"]
 
@@ -707,6 +733,8 @@ _TOKENS = ["0", "1", "2", "3", "-3", "0001", "0.5", "1.5", "1e-3", "nan", "inf",
 @example(option=("train", "out"), value="0001")
 @example(option=("train", "out"), value="-inf")
 @example(option=("certify", "out"), value="-inf")
+@example(option=("sigma", "grid_start"), value="0.5")
+@example(option=("bound", "pa"), value="0.5")
 def test_config_value_matches_flag(checkpoint, option, value):
     # ``--key V`` and a config line ``key = V`` exit alike and, on success,
     # resolve to the same configuration
@@ -722,6 +750,32 @@ def test_config_value_matches_flag(checkpoint, option, value):
         by_flag = _run_in(a, [*base, flag, value], out)
         by_file = _run_in(b, [*base, "--config", "run.cfg"], out)
     assert by_flag == by_file
+
+
+@pytest.mark.parametrize("value,flags", [("true", ["--full-scan"]), ("TRUE", ["--full-scan"]),
+                                         ("false", []), ("False", [])])
+def test_config_full_scan_matches_switch(checkpoint, value, flags):
+    # the one switch: ``true`` stands for the bare flag, ``false`` for none
+    base = _valid_argv("sigma", checkpoint, "run")
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        Path(b, "run.cfg").write_text(f"full_scan = {value}\n", encoding="utf-8")
+        by_flag = _run_in(a, [*base, *flags], "run")
+        by_file = _run_in(b, [*base, "--config", "run.cfg"], "run")
+        assert (Path(a, "run", "trace.csv").read_bytes()
+                == Path(b, "run", "trace.csv").read_bytes())
+    assert by_flag == by_file
+    assert by_flag[1]["full_scan"] is bool(flags)
+
+
+def test_config_full_scan_rejects_other_text(checkpoint, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# scan it all\nfull_scan = maybe\n")
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as e:
+        cli.main([*_valid_argv("sigma", checkpoint, out), "--config", str(cfg_file)])
+    assert e.value.code == 2
+    assert f"{cfg_file}:2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_quickstart_commands_parse():

@@ -76,7 +76,6 @@ def test_logged_reg_value_matches_recomputation_on_final_weights():
     assert metrics[-1].reg_value == pytest.approx(want, rel=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_with_last_checkpoint():
     # lr * weight_decay > 2 makes the weight recursion oscillate with an
     # exponentially growing envelope until the forward pass overflows
@@ -89,6 +88,36 @@ def test_divergence_raises_with_last_checkpoint():
     assert err.epoch >= 1
     assert err.model is not None
     assert len(err.metrics) == err.epoch - 1
+
+
+def test_regularized_divergence_raises_with_finite_checkpoint():
+    # with alpha > 0 the weights overflow while the loss of the epoch is still
+    # finite; the end-of-epoch regularizer meets them first
+    ds = data.synth_blobs(3, 6, 150, 0.05, 1)
+    model = init_model((7, 8, 3), seed=0)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(model, data.augment(ds.inputs), ds.labels,
+              TrainConfig(epochs=3, lr=1e100, alpha=0.1))
+    err = exc.value
+    assert len(err.metrics) == err.epoch - 1
+    assert all(np.isfinite(w).all() for w in err.model.layers)
+
+
+def test_regularizer_runs_once_per_epoch_boundary(monkeypatch):
+    # one call on the initial weights, then one at the end of every epoch
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return regularizer_and_gradient(model)
+
+    # the package's ``train`` function hides the module of the same name
+    monkeypatch.setattr(sys.modules["smoothcert.train"], "regularizer_and_gradient", counted)
+    X, y = toy_problem(m=100)
+    train(init_model((9, 8, 3), seed=0), X, y, quick_cfg(epochs=4, alpha=0.1))
+    assert len(calls) == 5
+    train(init_model((9, 8, 3), seed=0), X, y, quick_cfg(epochs=4, alpha=0.0))
+    assert len(calls) == 9
 
 
 def test_config_validation():
@@ -229,7 +258,6 @@ def _record_threads(monkeypatch):
     return seen
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("m, d, batch", SHAPES)
 def test_no_thread_outlives_training(monkeypatch, m, d, batch):
     X, y = shaped_problem(m, d)
