@@ -29,14 +29,6 @@ from .data import (
     synth_digits,
 )
 from .nn import MlpModel, init_model
-from .oracles import (
-    AttackReport,
-    binomial_tail,
-    grid_attack,
-    jacobi_eigs,
-    mc_correlation,
-    reference_votes,
-)
 from .rng import stream
 from .sigma_select import SigmaSearchConfig, SigmaSearchResult, select_sigma
 from .smoothing import (
@@ -66,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABSTAIN",
-    "AttackReport",
     "BoundInputs",
     "BoundReport",
     "CertifyResult",
@@ -81,7 +72,6 @@ __all__ = [
     "TrainingDiverged",
     "VoteCounts",
     "augment",
-    "binomial_tail",
     "certified_accuracy_curve",
     "certified_radius",
     "certify",
@@ -94,17 +84,13 @@ __all__ = [
     "evaluate_bound",
     "generalization_bound",
     "gershgorin_bound",
-    "grid_attack",
     "init_model",
-    "jacobi_eigs",
     "kl_term",
     "load_checkpoint",
     "load_idx",
     "lower_conf_bound",
-    "mc_correlation",
     "phi",
     "psi",
-    "reference_votes",
     "regularizer_and_gradient",
     "sample_under_noise",
     "save_checkpoint",

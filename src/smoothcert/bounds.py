@@ -239,9 +239,9 @@ def evaluate_bound(
     """
     tau = tau_solve(inputs.d)
     psi_value = psi(inputs.gamma, inputs.B, tau, inputs.n, inputs.h, inputs.per_layer_spectral)
-    phi_value = phi(inputs.per_layer_spectral, inputs.per_layer_frobenius, psi_value)
     if psi_value == 0.0:
         raise ValueError("psi evaluated to 0; KL and bound are undefined")
+    phi_value = phi(inputs.per_layer_spectral, inputs.per_layer_frobenius, psi_value)
     kl = kl_term(inputs.per_layer_frobenius, psi_value)
     bound = generalization_bound(empirical_margin_loss, kl, inputs.m, inputs.delta)
     eps = None

@@ -11,8 +11,9 @@ are byte-reproducible for identical resolved configurations, except the
 wall-time ``seconds`` column of ``metrics.csv``.
 
 Exit codes: 0 success, 1 computational/runtime failure (malformed or empty
-data and checkpoint files among them), 2 bad flags, config values or
-SMOOTHCERT_SEED (before any data is read or ``--out`` is created).
+data, checkpoint and report input files among them), 2 bad flags, config
+values, SMOOTHCERT_SEED or ``report`` directories sharing a basename
+(before any data is read or ``--out`` is created).
 ``train``, ``bound`` and ``report`` create ``--out`` only once their
 computation has succeeded, so a failed run of theirs leaves none behind.
 """
@@ -352,12 +353,63 @@ def _step_interp(points: list[tuple[float, float]], r: float) -> float:
     return acc
 
 
+def _run_name(d: str) -> str:
+    """A run's name in the report outputs: its directory's basename."""
+    path = Path(d)
+    return path.name or str(path)
+
+
+def _json_object(path: Path) -> dict | None:
+    """The JSON object in ``path``, or None when there is no such file."""
+    if not path.exists():
+        return None
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return obj
+
+
+def _json_number(path: Path, obj: dict, key: str) -> float:
+    v = obj.get(key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{path}: {key} must be a number")
+    return v
+
+
+def _read_trend(run: Path) -> tuple | None:
+    """A run's spectral_trends.csv values, or None without a spectral.json.
+
+    These are spectral.json's collapsed, product and Gershgorin norms, the
+    mean |off-diagonal| of its cosine matrix, and sigma.json's sigma2 ("" when
+    absent).  Every key and type read is checked here, so a malformed file
+    fails before ``--out`` is made.
+    """
+    sg_path, sp_path = run / "sigma.json", run / "spectral.json"
+    sg = _json_object(sg_path) or {}
+    sp = _json_object(sp_path)
+    sigma2 = _json_number(sg_path, sg, "sigma2") if "sigma2" in sg else ""
+    if sp is None:
+        return None
+    norms = [_json_number(sp_path, sp, k)
+             for k in ("collapsed_spectral", "product_spectral", "gershgorin")]
+    try:
+        cos = np.array(sp.get("cosine_matrix"), dtype=np.float64)
+    except (TypeError, ValueError):
+        cos = None
+    if cos is None or cos.ndim != 2 or cos.shape[0] != cos.shape[1]:
+        raise ValueError(f"{sp_path}: cosine_matrix must be a square matrix of numbers")
+    return (*norms, spectral.mean_abs_offdiag(cos), sigma2)
+
+
 def _cmd_report(cfg: dict) -> None:
     runs: dict[str, list[tuple[float, float]]] = {}
-    extras: dict[str, dict] = {}
+    trends = []
     for d in cfg["dirs"]:
         path = Path(d)
-        name = path.name or str(path)
+        name = _run_name(d)
         curve_path = path / "curve.csv"
         if not curve_path.exists():
             raise ValueError(f"{curve_path} not found")
@@ -374,11 +426,9 @@ def _cmd_report(cfg: dict) -> None:
         if not pts:
             raise ValueError(f"{curve_path} has no rows")
         runs[name] = sorted(pts)
-        extras[name] = {}
-        for extra in ("sigma.json", "spectral.json"):
-            p = path / extra
-            if p.exists():
-                extras[name][extra] = json.loads(p.read_text(encoding="utf-8"))
+        trend = _read_trend(path)
+        if trend is not None:
+            trends.append((name, *trend))
 
     out = _out_dir(cfg)
     grids = [tuple(r for r, _ in pts) for pts in runs.values()]
@@ -391,20 +441,10 @@ def _cmd_report(cfg: dict) -> None:
                [(name, r, a) for name, pts in merged.items() for r, a in pts])
     plot.emit_plot(out / "combined_curves.svg", merged,
                    title="Certified accuracy", x_label="radius", y_label="accuracy")
-
-    spectral_rows = []
-    for name in runs:
-        sp = extras[name].get("spectral.json")
-        if sp is None:
-            continue
-        off = spectral.mean_abs_offdiag(sp["cosine_matrix"])
-        sg = extras[name].get("sigma.json", {})
-        spectral_rows.append((name, sp["collapsed_spectral"], sp["product_spectral"],
-                              sp["gershgorin"], off, sg.get("sigma2", "")))
-    if spectral_rows:
+    if trends:
         _write_csv(out / "spectral_trends.csv",
                    ["run", "collapsed_spectral", "product_spectral", "gershgorin",
-                    "mean_abs_offdiag_cosine", "sigma2"], spectral_rows)
+                    "mean_abs_offdiag_cosine", "sigma2"], trends)
     print(f"merged {len(runs)} runs over {len(union)} radius grid points")
 
 
@@ -528,6 +568,14 @@ def main(argv=None) -> int:
         sub.error("--images and --labels must be supplied together")
     if ns.command == "sigma" and cfg["grid_start"] > cfg["grid_stop"]:
         sub.error("--grid-start must not exceed --grid-stop")
+    if ns.command == "report":
+        # runs are keyed by name in every report output
+        named: dict[str, str] = {}
+        for d in cfg["dirs"]:
+            name = _run_name(d)
+            if name in named:
+                sub.error(f"runs {named[name]} and {d} share the name {name!r}")
+            named[name] = d
     if ns.command == "bound":
         if (cfg["pa"] is None) != (cfg["pb"] is None):
             sub.error("--pa and --pb must be supplied together")

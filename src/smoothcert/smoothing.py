@@ -15,8 +15,8 @@ Because each weight matrix acts on exactly one vector per forward pass and
 ``U z | z ~ N(0, sigma^2 ||z||^2 I)`` for an i.i.d. Gaussian matrix ``U``,
 this draws from exactly the same output distribution as materializing a
 fresh full weight-noise matrix, at a fraction of the random numbers.
-``oracles.reference_votes`` does the latter, literally, as an independent
-check.
+``reference_votes`` in the test suite's ``tests/oracles.py`` does the
+latter, literally, as an independent check.
 
 Input noise is drawn in the first layer's row space.  That layer sees the
 noisy input ``z`` only through ``W0 z`` and ``||z||``, so for a first

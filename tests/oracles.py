@@ -1,6 +1,8 @@
 """Independent checking machinery: slow, simple implementations used to
 validate the fast paths, plus an empirical attack on certified radii.
 
+Only tests call these, so they live with the tests, and mpmath is a
+test-only dependency.
 Nothing here shares numeric kernels with the modules it checks beyond the
 plain float64 array type: eigenvalues come from classical Jacobi rotations
 (not the LAPACK SVD), binomial tails from exact extended-precision
@@ -8,7 +10,9 @@ summation (not the incomplete beta), output correlations from Monte-Carlo
 sampling (not the analytic cosine identity), votes from a fresh full
 weight-noise matrix and all d input coordinates per draw (not the projected,
 row-space sampler), and certified radii are probed by exhaustively re-voting
-on a perturbation grid.
+on a perturbation grid.  ``grid_attack`` votes through the public
+``sample_under_noise`` on purpose: it attacks the certificate the package
+issues, not a re-implementation of it.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from . import rng
-from .nn import MlpModel, Matrix, _as_f64
-from .smoothing import NoiseConfig, VoteCounts, sample_under_noise
+from smoothcert import rng
+from smoothcert.nn import Matrix, MlpModel
+from smoothcert.smoothing import NoiseConfig, VoteCounts, sample_under_noise
 
 
 _JACOBI_TOL = 1e-12
@@ -36,7 +40,9 @@ def jacobi_eigs(sym: Matrix) -> np.ndarray:
     at ``_JACOBI_TOL`` itself for unit-scale input).  Returns eigenvalues in
     ascending order; asymmetric input is an error.
     """
-    A = _as_f64(sym).copy()
+    A = np.array(sym, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {A.shape}")
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("matrix must be square")

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rand_model, write_idx_pair
-from smoothcert import bounds, cli, data, nn, oracles, rng, smoothing, spectral
+import oracles
+from smoothcert import bounds, cli, data, nn, rng, smoothing, spectral
 from smoothcert.nn import MlpModel, init_model
 from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
 from smoothcert.smoothing import NoiseConfig, certify

@@ -272,3 +272,14 @@ def test_evaluate_bound_optional_eps_x():
     assert rep.eps_x == pytest.approx(eps_x(0.75, 0.25, rep.psi), rel=1e-14)
     rep2 = evaluate_bound(fixed_inputs(), empirical_margin_loss=0.0)
     assert rep2.eps_x is None
+
+
+def test_evaluate_bound_zero_psi_raises_without_warning(caplog):
+    # four layers at 1e60 make psi underflow to 0: the bound is undefined,
+    # and phi's "diverges" diagnostic must not be logged on the way out
+    inputs = BoundInputs(gamma=1.0, delta=0.05, m=10000, B=1.0, n=4, h=32, d=784,
+                         per_layer_spectral=(1e60,) * 4, per_layer_frobenius=(1e60,) * 4)
+    assert psi(1.0, 1.0, tau_solve(784), 4, 32, inputs.per_layer_spectral) == 0.0
+    with caplog.at_level("WARNING"), pytest.raises(ValueError, match="psi evaluated to 0"):
+        evaluate_bound(inputs, empirical_margin_loss=0.1)
+    assert caplog.records == []

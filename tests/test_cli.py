@@ -464,6 +464,45 @@ def test_report_malformed_curve_exits_1(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, body, message", [
+    ("spectral.json", '{"collapsed_spectral": 1.0}', "must be a number"),
+    ("spectral.json", "[1, 2]", "must hold a JSON object"),
+    ("spectral.json", '{"collapsed_spectral": 1.0, "product_spectral": 1.0, '
+                      '"gershgorin": 1.0, "cosine_matrix": [1, 2]}', "cosine_matrix"),
+    ("spectral.json", '{"collapsed_spectral": "big", "product_spectral": 1.0, '
+                      '"gershgorin": 1.0, "cosine_matrix": [[1.0]]}', "collapsed_spectral"),
+    ("spectral.json", "{", "Expecting"),
+    ("sigma.json", '"0.1"', "must hold a JSON object"),
+    ("sigma.json", '{"sigma2": [0.1]}', "sigma2 must be a number"),
+])
+def test_report_malformed_extra_exits_1(tmp_path, capsys, extra, body, message):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    for d in (good, bad):
+        d.mkdir()
+        (d / "curve.csv").write_text("radius,accuracy\n0.0,1.0\n")
+    (bad / extra).write_text(body)
+    out = tmp_path / "rep"
+    assert cli.main(["report", str(good), str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and extra in err
+    assert not out.exists()
+
+
+def test_report_rejects_runs_sharing_a_name(tmp_path, capsys):
+    # runs are keyed by basename, so a/run and b/run would merge into one
+    a, b = tmp_path / "a" / "run", tmp_path / "b" / "run"
+    for d in (a, b):
+        d.mkdir(parents=True)
+        (d / "curve.csv").write_text("radius,accuracy\n0.0,1.0\n")
+    out = tmp_path / "rep"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["report", str(a), str(b), "--out", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert str(a) in err and str(b) in err
+    assert not out.exists()
+
+
 # ------------------------------------------------ flags, config, errors ---
 
 

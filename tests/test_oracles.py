@@ -5,11 +5,11 @@ import pytest
 
 from smoothcert import rng
 from smoothcert.nn import MlpModel
-from smoothcert.oracles import binomial_tail, grid_attack, jacobi_eigs, mc_correlation
 from smoothcert.smoothing import NoiseConfig, certify
 from smoothcert.spectral import correlation_matrix, collapsed_weight
 
 from conftest import rand_model
+from oracles import binomial_tail, grid_attack, jacobi_eigs, mc_correlation
 
 
 def model_of(*mats):

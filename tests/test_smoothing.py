@@ -10,7 +10,6 @@ from scipy.stats import norm
 
 from smoothcert import rng
 from smoothcert.nn import MlpModel, forward_batch
-from smoothcert.oracles import binomial_tail, reference_votes
 from smoothcert.smoothing import (
     ABSTAIN,
     NoiseConfig,
@@ -24,6 +23,7 @@ from smoothcert.smoothing import (
 )
 
 from conftest import rand_model
+from oracles import binomial_tail, reference_votes
 
 NO_NOISE = NoiseConfig(sigma_input=0.0, sigma_weight=0.0)
 

@@ -5,7 +5,6 @@ import pytest
 
 from smoothcert import rng
 from smoothcert.nn import MlpModel
-from smoothcert.oracles import jacobi_eigs
 from smoothcert.spectral import (
     collapsed_weight,
     correlation_matrix,
@@ -16,6 +15,7 @@ from smoothcert.spectral import (
 )
 
 from conftest import rand_model, relative_error
+from oracles import jacobi_eigs
 
 
 def model_of(*mats):
