@@ -10,10 +10,16 @@ resolved configuration as ``config.json`` beside its outputs; all outputs
 are byte-reproducible for identical resolved configurations, except the
 wall-time ``seconds`` column of ``metrics.csv``.
 
+``certify --workers N`` runs the per-sample certify calls on N threads
+through ``train.ahead``, whose other caller is the trainer.  Results come
+back in sample order, so the outputs do not depend on N; with N = 1 every
+call runs on the calling thread.
+
 Exit codes: 0 success, 1 computational/runtime failure (malformed or empty
 data, checkpoint and report input files among them), 2 bad flags, config
-values, SMOOTHCERT_SEED or ``report`` directories sharing a basename
-(before any data is read or ``--out`` is created).
+values, SMOOTHCERT_SEED, a ``certify`` radius grid of more than
+``MAX_RADII`` points or ``report`` directories sharing a basename (before
+any data is read or ``--out`` is created).
 ``train``, ``bound`` and ``report`` create ``--out`` only once their
 computation has succeeded, so a failed run of theirs leaves none behind.
 """
@@ -26,7 +32,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -37,12 +42,13 @@ from .bounds import BoundInputs, evaluate_bound, psi, tau_solve
 from .nn import init_model
 from .sigma_select import SigmaSearchConfig, select_sigma
 from .smoothing import ABSTAIN, NoiseConfig
-from .train import TrainConfig, train
+from .train import TrainConfig, ahead, train
 
 SAMPLES_HEADER = ["sample_index", "label", "predicted", "abstain", "pa_lower", "radius", "correct"]
 CURVE_HEADER = ["radius", "accuracy"]
 METRICS_HEADER = ["epoch", "loss", "train_acc", "reg_value", "seconds"]
 TRACE_HEADER = ["sigma2", "mean_drop"]
+MAX_RADII = 10**6  # curve grid points; the default grid has 201
 
 
 # --------------------------------------------------------------- options ---
@@ -184,6 +190,10 @@ def _load_model_and_data(cfg: dict):
     if X.shape[1] != model.in_dim:
         raise ValueError(
             f"dataset dim {X.shape[1]} (bias-augmented) != model input dim {model.in_dim}")
+    if np.any(ds.labels >= model.out_dim):
+        raise ValueError(
+            f"dataset label {int(ds.labels.max())} is not a class of the model "
+            f"({model.out_dim} classes)")
     return ds, X, model
 
 
@@ -254,21 +264,6 @@ def _cmd_sigma(cfg: dict) -> None:
     print(f"selected sigma2 = {result.sigma2}{flag}")
 
 
-_WORKER: dict = {}
-
-
-def _certify_init(payload: dict) -> None:
-    _WORKER.update(payload)
-
-
-def _certify_one(i: int) -> tuple[int, int, float, float]:
-    res = smoothing.certify(
-        _WORKER["model"], _WORKER["X"][i], _WORKER["noise"],
-        _WORKER["n0"], _WORKER["n"], _WORKER["alpha"], sample_index=i,
-    )
-    return i, res.predicted, res.pa_lower, res.radius
-
-
 def _cmd_certify(cfg: dict) -> None:
     ds, X, model = _load_model_and_data(cfg)
     out = _out_dir(cfg)
@@ -278,26 +273,25 @@ def _cmd_certify(cfg: dict) -> None:
         sigma_weight=None if sigma_w is None else float(np.sqrt(sigma_w)),
         base_seed=cfg["seed"],
     )
-    payload = {"model": model, "X": X, "noise": noise,
-               "n0": cfg["n0"], "n": cfg["n"], "alpha": cfg["alpha"]}
-    indices = range(ds.m)
-    if cfg["workers"] > 1:
-        with ProcessPoolExecutor(
-            max_workers=cfg["workers"], initializer=_certify_init, initargs=(payload,)
-        ) as ex:
-            rows = list(ex.map(_certify_one, indices, chunksize=8))
-    else:
-        _certify_init(payload)
-        rows = [_certify_one(i) for i in indices]
+    # computed here, once: from Python 3.12 a cached_property takes no lock,
+    # so pool threads meeting it first would each run the QR
+    model.row_basis
+
+    def certify_one(i: int) -> smoothing.CertifyResult:
+        return smoothing.certify(model, X[i], noise, cfg["n0"], cfg["n"], cfg["alpha"],
+                                 sample_index=i)
+
+    with ahead(certify_one, zip(range(ds.m)), cfg["workers"]) as results:
+        rows = [(r.predicted, r.pa_lower, r.radius) for r in results]
 
     labels = ds.labels
     _write_csv(out / "samples.csv", SAMPLES_HEADER, [
         (i, int(labels[i]), pred, int(pred == ABSTAIN), pa, rad, int(pred == labels[i]))
-        for i, pred, pa, rad in rows
+        for i, (pred, pa, rad) in enumerate(rows)
     ])
     steps = int(round(cfg["radius_max"] / cfg["radius_step"]))
     radii = [i * cfg["radius_step"] for i in range(steps + 1)]
-    _, predicted, _, radius = zip(*rows)
+    predicted, _, radius = zip(*rows)
     accs = smoothing.certified_accuracy_curve(predicted, radius, labels, radii)
     curve = list(zip(radii, (float(a) for a in accs)))
     _write_csv(out / "curve.csv", CURVE_HEADER, curve)
@@ -422,7 +416,10 @@ def _cmd_report(cfg: dict) -> None:
                 r, a = row["radius"], row["accuracy"]
                 if r is None or a is None:
                     raise ValueError(f"{curve_path}: line {reader.line_num} is short")
-                pts.append((float(r), float(a)))
+                pt = (float(r), float(a))
+                if not all(map(math.isfinite, pt)):
+                    raise ValueError(f"{curve_path}: line {reader.line_num} is not finite")
+                pts.append(pt)
         if not pts:
             raise ValueError(f"{curve_path} has no rows")
         runs[name] = sorted(pts)
@@ -568,6 +565,11 @@ def main(argv=None) -> int:
         sub.error("--images and --labels must be supplied together")
     if ns.command == "sigma" and cfg["grid_start"] > cfg["grid_stop"]:
         sub.error("--grid-start must not exceed --grid-stop")
+    if ns.command == "certify":
+        steps = cfg["radius_max"] / cfg["radius_step"]
+        if not math.isfinite(steps) or round(steps) + 1 > MAX_RADII:
+            sub.error(f"--radius-max / --radius-step must give at most {MAX_RADII} "
+                      "curve grid points")
     if ns.command == "report":
         # runs are keyed by name in every report output
         named: dict[str, str] = {}

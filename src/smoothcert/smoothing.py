@@ -270,6 +270,8 @@ def empirical_margin_loss(
     if gamma < 0.0 or not np.isfinite(gamma):
         raise ValueError("gamma must be finite and >= 0")
     k = model.out_dim
+    if np.any((y < 0) | (y >= k)):
+        raise ValueError(f"labels must lie in [0, {k}), the model's classes")
     if k == 1:
         return 0.0
     cols = np.arange(k)

@@ -22,6 +22,9 @@ core the draws overlap the forward, backward and SGD work.  The draws, their
 order and the arithmetic are those of a serial loop, so the weights are
 bit-identical to it.  Small batches stay in that serial loop: see
 ``_AHEAD_MIN_VALUES``.
+
+``ahead`` is that ordered, bounded map.  It has two callers: ``train`` and
+``cli``'s ``certify --workers``, which maps its samples through it.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def train(
     threads = _usable_cores() if noise_values >= _AHEAD_MIN_VALUES else 1
     try:
         with np.errstate(over="raise", invalid="raise"), \
-                _ahead(noisy_batch, plan(), threads) as batches:
+                ahead(noisy_batch, plan(), threads) as batches:
             if cfg.alpha > 0.0:
                 _, reg_grads = regularizer_and_gradient(model)
             for epoch in range(1, cfg.epochs + 1):
@@ -207,7 +210,7 @@ def _usable_cores() -> int:
 
 
 @contextmanager
-def _ahead(fn: Callable, items: Iterable[tuple], threads: int) -> Iterator[Iterator]:
+def ahead(fn: Callable, items: Iterable[tuple], threads: int) -> Iterator[Iterator]:
     """``map(fn, items)`` in order; with ``threads > 1`` the calls run on a
     pool of that many threads, at most ``2 * threads`` ahead of the consumer.
 

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_idx_pair
-from smoothcert import cli, data
+from smoothcert import cli, data, smoothing
 from smoothcert.nn import MlpModel
 
 # small enough that the whole module runs in a few seconds
@@ -214,10 +215,34 @@ def test_certify_workers_deterministic(checkpoint, tmp_path):
                      "--hidden", "4", "--epochs", "2", "--seed", "0"]) == 0
     small = {"max-samples": "8", "n": "100"}
     for i, ckpt in enumerate((checkpoint, str(narrow / "checkpoint.smcert"))):
-        a, b = tmp_path / f"w1-{i}", tmp_path / f"w2-{i}"
+        a = tmp_path / f"w1-{i}"
         assert cli.main(certify_args(ckpt, a, **small)) == 0
-        assert cli.main(certify_args(ckpt, b, workers="2", **small)) == 0
-        assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
+        for workers in ("2", "3"):
+            b = tmp_path / f"w{workers}-{i}"
+            assert cli.main(certify_args(ckpt, b, workers=workers, **small)) == 0
+            for name in ("samples.csv", "curve.csv", "curve.svg"):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (workers, name)
+
+
+def test_certify_workers_stop_at_a_failing_sample(checkpoint, tmp_path, monkeypatch, capsys):
+    calls = []
+    real = smoothing.certify
+
+    def certify(*args, sample_index, **kwargs):
+        calls.append(sample_index)
+        if sample_index == 1:
+            raise ValueError("sample 1 failed")
+        return real(*args, sample_index=sample_index, **kwargs)
+
+    monkeypatch.setattr(smoothing, "certify", certify)
+    before = threading.active_count()
+    argv = certify_args(checkpoint, tmp_path / "x", workers="2", **{"max-samples": "60"})
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sample 1 failed"]
+    # the pool stops taking samples, and joins its threads, once one fails
+    assert 1 in calls and len(calls) < 60
+    assert threading.active_count() == before
 
 
 def test_certify_bad_sigma2_usage_error(checkpoint, tmp_path, capsys):
@@ -244,14 +269,16 @@ def test_certify_missing_sigma2_usage_error(checkpoint, tmp_path):
     assert e.value.code == 2
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("radius-step", "0"), ("radius-step", "-0.25"), ("radius-step", "nan"),
-    ("radius-max", "-1.0"), ("radius-max", "inf"), ("radius-max", "nan"),
-])
-def test_certify_bad_radius_grid_usage_error(checkpoint, tmp_path, flag, value):
+@pytest.mark.parametrize("flags", [
+    {"radius-step": "0"}, {"radius-step": "-0.25"}, {"radius-step": "nan"},
+    {"radius-max": "-1.0"}, {"radius-max": "inf"}, {"radius-max": "nan"},
+    # 1.0 / 1e-6 + 1 points is one over cli.MAX_RADII; 1e300 / 1e-300 overflows
+    {"radius-step": "1e-6"}, {"radius-max": "1e300", "radius-step": "1e-300"},
+], ids=lambda flags: "-".join(f"{k}-{v}" for k, v in flags.items()))
+def test_certify_bad_radius_grid_usage_error(checkpoint, tmp_path, flags):
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as e:
-        cli.main(certify_args(checkpoint, out, **{flag: value}))
+        cli.main(certify_args(checkpoint, out, **flags))
     assert e.value.code == 2
     assert not (out / "samples.csv").exists()
 
@@ -449,6 +476,9 @@ def test_report_empty_dir_exits_1(tmp_path, capsys):
     ("accuracy\n1.0\n", "needs the columns radius, accuracy"),
     ("radius,accuracy\n0.0,1.0\n0.5\n", "line 3 is short"),
     ("radius,accuracy\n0.0,one\n", "could not convert"),
+    ("radius,accuracy\nnan,0.5\n", "line 2 is not finite"),
+    ("radius,accuracy\n0.0,1.0\n0.2,inf\n", "line 3 is not finite"),
+    ("radius,accuracy\n-inf,1.0\n", "line 2 is not finite"),
 ])
 def test_report_malformed_curve_exits_1(tmp_path, capsys, text, message):
     # every input is read before --out is made: the good first run must not
@@ -723,6 +753,18 @@ def test_empty_idx_dataset_exits_1(checkpoint, tmp_path, capsys, command):
     assert cli.main(argv) == 1
     assert "error: empty IDX images" in capsys.readouterr().err
     assert not out.exists()  # no checkpoint.smcert, sigma.json or samples.csv
+
+
+@pytest.mark.parametrize("command", ["sigma", "certify", "bound"])
+def test_labels_outside_the_model_classes_exit_1(checkpoint, tmp_path, capsys, command):
+    # the checkpoint has 3 classes; 5-class data of the same dim has labels 3 and 4
+    out = tmp_path / "x"
+    argv = _valid_argv(command, checkpoint, out)
+    argv[argv.index("--synth-k") + 1] = "5"
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset label 4 is not a class of the model (3 classes)")
+    assert not out.exists()
 
 
 def test_certify_non_object_checkpoint_header_exits_1(tmp_path, capsys):

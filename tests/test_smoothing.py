@@ -354,6 +354,14 @@ def test_margin_loss_huge_gamma_fails_everything():
     assert empirical_margin_loss(model, X, y, 1e9, NO_NOISE, num=4) == 1.0
 
 
+@pytest.mark.parametrize("bad", [3, -1])
+def test_margin_loss_rejects_labels_outside_the_classes(bad):
+    model, X, y = margin_fixture()  # 3 classes
+    y[7] = bad
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+        empirical_margin_loss(model, X, y, 0.1, NO_NOISE, num=4)
+
+
 # ------------------------------------------------------------ curves
 
 def test_curve_at_zero_without_abstains_is_accuracy():
