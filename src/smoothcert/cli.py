@@ -20,8 +20,8 @@ data, checkpoint and report input files among them), 2 bad flags, config
 values, SMOOTHCERT_SEED, a ``certify`` radius grid of more than
 ``MAX_RADII`` points or ``report`` directories sharing a basename (before
 any data is read or ``--out`` is created).
-``train``, ``bound`` and ``report`` create ``--out`` only once their
-computation has succeeded, so a failed run of theirs leaves none behind.
+Every command creates ``--out`` only once its computation has succeeded,
+so a failed run leaves none behind.
 """
 
 from __future__ import annotations
@@ -247,13 +247,13 @@ def _cmd_train(cfg: dict) -> None:
 
 def _cmd_sigma(cfg: dict) -> None:
     ds, X, model = _load_model_and_data(cfg)
-    out = _out_dir(cfg)
     sc = SigmaSearchConfig(
         grid_start=cfg["grid_start"], grid_stop=cfg["grid_stop"], grid_step=cfg["grid_step"],
         n_samples=cfg["samples"], tolerance=cfg["tolerance"], eval_subset=cfg["eval_subset"],
         base_seed=cfg["seed"], full_scan=cfg["full_scan"],
     )
     result = select_sigma(model, X, ds.labels, sc)
+    out = _out_dir(cfg)
     _write_json(out / "sigma.json", {
         "sigma2": result.sigma2,
         "flagged_none_qualified": result.flagged_none_qualified,
@@ -266,7 +266,6 @@ def _cmd_sigma(cfg: dict) -> None:
 
 def _cmd_certify(cfg: dict) -> None:
     ds, X, model = _load_model_and_data(cfg)
-    out = _out_dir(cfg)
     sigma_w = cfg["sigma_weight2"]
     noise = NoiseConfig(
         sigma_input=float(np.sqrt(cfg["sigma2"])),
@@ -285,15 +284,16 @@ def _cmd_certify(cfg: dict) -> None:
         rows = [(r.predicted, r.pa_lower, r.radius) for r in results]
 
     labels = ds.labels
-    _write_csv(out / "samples.csv", SAMPLES_HEADER, [
-        (i, int(labels[i]), pred, int(pred == ABSTAIN), pa, rad, int(pred == labels[i]))
-        for i, (pred, pa, rad) in enumerate(rows)
-    ])
     steps = int(round(cfg["radius_max"] / cfg["radius_step"]))
     radii = [i * cfg["radius_step"] for i in range(steps + 1)]
     predicted, _, radius = zip(*rows)
     accs = smoothing.certified_accuracy_curve(predicted, radius, labels, radii)
     curve = list(zip(radii, (float(a) for a in accs)))
+    out = _out_dir(cfg)
+    _write_csv(out / "samples.csv", SAMPLES_HEADER, [
+        (i, int(labels[i]), pred, int(pred == ABSTAIN), pa, rad, int(pred == labels[i]))
+        for i, (pred, pa, rad) in enumerate(rows)
+    ])
     _write_csv(out / "curve.csv", CURVE_HEADER, curve)
     plot.emit_plot(out / "curve.svg", {"certified accuracy": curve},
                    title="Certified accuracy", x_label="radius", y_label="accuracy")
@@ -419,6 +419,9 @@ def _cmd_report(cfg: dict) -> None:
                 pt = (float(r), float(a))
                 if not all(map(math.isfinite, pt)):
                     raise ValueError(f"{curve_path}: line {reader.line_num} is not finite")
+                if pt[0] < 0.0 or not 0.0 <= pt[1] <= 1.0:
+                    raise ValueError(f"{curve_path}: line {reader.line_num} needs a radius "
+                                     ">= 0 and an accuracy in [0, 1]")
                 pts.append(pt)
         if not pts:
             raise ValueError(f"{curve_path} has no rows")

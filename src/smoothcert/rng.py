@@ -1,11 +1,27 @@
 """Deterministic derivation of independent random streams.
 
-Every stochastic component of the package draws from a counter-based Philox
-generator whose key is derived from a base seed plus a short integer path,
-e.g. ``stream(seed, sample_index, PHASE_ESTIMATION)``.  Distinct paths give
-statistically independent streams, and the stream for a given path never
-depends on evaluation order -- which is what makes parallel certification
-and re-runs byte-reproducible.
+Every stream is keyed by a base seed plus a short integer path whose first
+component is a phase tag, one per consumer:
+``SeedSequence(entropy=base_seed, spawn_key=(phase, ...))``.  Distinct
+paths give statistically independent streams, and the stream for a given
+path never depends on evaluation order -- which is what makes parallel
+certification and re-runs byte-reproducible.
+
+Two bit generators sit on those keys:
+
+* ``stream`` -- counter-based Philox, for everything that builds a model:
+  initialization ``(seed, PHASE_INIT, layer)``, minibatch order
+  ``(seed, PHASE_SHUFFLE, epoch)``, training noise
+  ``(seed, PHASE_TRAIN_NOISE, epoch, batch)``, the weight-noise search
+  ``(seed, PHASE_SIGMA, grid_point, draw)`` and synthetic data
+  ``(seed, PHASE_SYNTH[, 1])``.
+* ``vote_stream`` -- SFC64, for the Monte-Carlo vote loop, one generator
+  per chunk of votes.  A vote key is ``(base_seed, phase, *indices)``,
+  e.g. ``(seed, PHASE_ESTIMATION, sample_index)``, and chunk ``c`` of it
+  draws from ``(seed, phase, *indices, c)``, so no chunk's draws depend on
+  another's.  The vote phases are ``PHASE_SELECTION``,
+  ``PHASE_ESTIMATION``, ``PHASE_MARGIN`` and, in the test oracles,
+  ``PHASE_ATTACK``.
 """
 
 from __future__ import annotations
@@ -26,16 +42,30 @@ PHASE_SYNTH = 10
 PHASE_CORR = 12
 
 
-def stream(base_seed: int, *path: int) -> np.random.Generator:
-    """Return the generator keyed by ``(base_seed, *path)``.
-
-    The same arguments always produce the same stream.  ``base_seed`` and all
-    path components must be non-negative integers.
-    """
+def _seed_sequence(base_seed: int, path) -> np.random.SeedSequence:
     if base_seed < 0:
         raise ValueError("base_seed must be non-negative")
     key = tuple(int(p) for p in path)
     if any(p < 0 for p in key):
         raise ValueError("stream path components must be non-negative")
-    seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.SeedSequence(entropy=int(base_seed), spawn_key=key)
+
+
+def stream(base_seed: int, *path: int) -> np.random.Generator:
+    """Return the Philox generator keyed by ``(base_seed, *path)``.
+
+    The same arguments always produce the same stream.  ``base_seed`` and all
+    path components must be non-negative integers.
+    """
+    return np.random.Generator(np.random.Philox(_seed_sequence(base_seed, path)))
+
+
+def vote_stream(key: tuple[int, ...], chunk: int) -> np.random.Generator:
+    """Return the SFC64 generator of vote chunk ``chunk`` under ``key``.
+
+    ``key`` is ``(base_seed, phase, *indices)``; the chunk draws from
+    ``SeedSequence(entropy=base_seed, spawn_key=(phase, *indices, chunk))``.
+    All components must be non-negative integers.
+    """
+    base_seed, *path = key
+    return np.random.Generator(np.random.SFC64(_seed_sequence(base_seed, (*path, chunk))))

@@ -28,10 +28,16 @@ chunk the draws come in this order: those input normals, the chi-square,
 then each layer's weight noise.  A first layer with ``h >= d`` rows draws
 all ``d`` input coordinates directly.
 
-Sampling is deterministic given the model, input, and stream: identical
-seeds reproduce identical votes bit-for-bit.  Non-finite inputs or weights
-are rejected rather than voted on.  Ties in the vote argmax always break to
-the lowest class index.
+Votes are drawn in chunks of ``_CHUNK`` = 1024.  A call takes a vote key
+``(base_seed, phase, *indices)`` -- ``PHASE_SELECTION`` and
+``PHASE_ESTIMATION`` for ``certify``, ``PHASE_MARGIN`` for the margin loss
+-- and chunk ``c`` draws from its own SFC64 generator,
+``rng.vote_stream(key, c)``, built on the calling thread.  Chunks share no
+draws, and integer tallies add up exactly, so the sum of the chunks'
+tallies in any order is the call's tally.  Sampling is deterministic given
+the model, input and key: identical keys reproduce identical votes
+bit-for-bit.  Non-finite inputs or weights are rejected rather than voted
+on.  Ties in the vote argmax always break to the lowest class index.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .nn import MlpModel
 
 ABSTAIN = -1
 
-_CHUNK = 4096
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,8 @@ class NoiseConfig:
     """Noise levels and base seed.
 
     ``sigma_weight=None`` means "same as sigma_input".  ``base_seed`` roots
-    the per-sample streams: sample ``i`` in phase ``p`` draws from
-    ``stream(base_seed, i, p)``, so results never depend on evaluation order.
+    the per-sample vote keys: sample ``i`` in phase ``p`` votes under
+    ``(base_seed, p, i)``, so results never depend on evaluation order.
     """
 
     sigma_input: float
@@ -105,22 +111,21 @@ class CertifyResult:
         return self.predicted == ABSTAIN
 
 
-def _noisy_logits(model, x, noise: NoiseConfig, num: int, g: np.random.Generator):
-    """Yield chunks of logits of the jointly-perturbed network at x.
+def _chunk_sampler(model, x, noise: NoiseConfig):
+    """Check ``x`` and the model, and return ``draw(b, g)``: the logits of
+    ``b`` votes of the jointly-perturbed network at x, drawn from ``g``.
 
     With ``(Q, P) = model.row_basis``, ``x`` has the coordinates
     ``c = (Q.T x, ||x - Q Q.T x||)``; a vote draws ``Y = c + sigma_input *
     N(0, I)``, so ``W0 z = P Y`` and ``||z||^2 = ||Y||^2 + sigma_input^2 *
     chi2(d - len(c))``.  Without a basis ``c = x`` and ``P = W0``.  The
     chi-square is drawn only when weight noise needs ``||z||``.  Draw order
-    per chunk is fixed (input normals, the chi-square, then each layer's
-    weight noise in order) so identical streams reproduce identical logits.
+    is fixed (input normals, the chi-square, then each layer's weight noise
+    in order) so identical generators reproduce identical logits.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.in_dim:
         raise ValueError(f"input shape {x.shape} incompatible with model input dim {model.in_dim}")
-    if num < 1:
-        raise ValueError("need at least one draw")
     if not np.isfinite(x).all():
         raise ValueError("input has non-finite entries")
     if not all(np.isfinite(w).all() for w in model.layers):
@@ -134,10 +139,8 @@ def _noisy_logits(model, x, noise: NoiseConfig, num: int, g: np.random.Generator
         c = x @ q
         c = np.append(c, np.linalg.norm(x - q @ c))
     rest = x.shape[0] - c.shape[0]  # chi-square degrees of freedom
-    done = 0
-    while done < num:
-        b = min(_CHUNK, num - done)
-        done += b
+
+    def draw(b: int, g: np.random.Generator) -> np.ndarray:
         if si > 0.0:
             Y = g.standard_normal((b, c.shape[0]))
             Y *= si
@@ -157,7 +160,20 @@ def _noisy_logits(model, x, noise: NoiseConfig, num: int, g: np.random.Generator
             if sw > 0.0:
                 _add_weight_noise(A, sw * np.linalg.norm(Z, axis=1), g)
             Z = A
-        yield Z
+        return Z
+
+    return draw
+
+
+def _noisy_logits(model, x, noise: NoiseConfig, num: int, key: tuple[int, ...]):
+    """Yield the logits of ``num`` votes at x, one chunk of at most
+    ``_CHUNK`` votes at a time; chunk ``i`` draws from
+    ``rng.vote_stream(key, i)``."""
+    draw = _chunk_sampler(model, x, noise)
+    if num < 1:
+        raise ValueError("need at least one draw")
+    for i, start in enumerate(range(0, num, _CHUNK)):
+        yield draw(min(_CHUNK, num - start), rng.vote_stream(key, i))
 
 
 def _add_weight_noise(A, scale, g: np.random.Generator) -> None:
@@ -169,12 +185,15 @@ def _add_weight_noise(A, scale, g: np.random.Generator) -> None:
 
 
 def sample_under_noise(
-    model: MlpModel, x, num: int, noise: NoiseConfig, stream: np.random.Generator
+    model: MlpModel, x, num: int, noise: NoiseConfig, key: tuple[int, ...]
 ) -> VoteCounts:
-    """Tally argmax votes of the jointly-perturbed network over ``num`` draws."""
+    """Tally argmax votes of the jointly-perturbed network over ``num`` draws.
+
+    ``key`` is a vote key ``(base_seed, phase, *indices)``; see ``rng``.
+    """
     k = model.out_dim
     counts = np.zeros(k, dtype=np.int64)
-    for Z in _noisy_logits(model, x, noise, num, stream):
+    for Z in _noisy_logits(model, x, noise, num, key):
         counts += np.bincount(np.argmax(Z, axis=1), minlength=k)
     return VoteCounts(counts=tuple(int(c) for c in counts), draws=num)
 
@@ -231,18 +250,18 @@ def certify(
     """Certify one input: select the top class, bound its vote probability,
     convert to a radius, abstain if the bound does not clear 1/2.
 
-    Selection and estimation use disjoint streams derived from
-    (noise.base_seed, sample_index, phase), so results are reproducible and
-    independent of processing order.
+    Selection and estimation draw from the disjoint vote keys
+    ``(noise.base_seed, phase, sample_index)``, so results are reproducible
+    and independent of processing order.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     sel = sample_under_noise(
-        model, x, n_selection, noise, rng.stream(noise.base_seed, sample_index, rng.PHASE_SELECTION)
+        model, x, n_selection, noise, (noise.base_seed, rng.PHASE_SELECTION, sample_index)
     )
     guess = sel.top()
     est = sample_under_noise(
-        model, x, n_estimation, noise, rng.stream(noise.base_seed, sample_index, rng.PHASE_ESTIMATION)
+        model, x, n_estimation, noise, (noise.base_seed, rng.PHASE_ESTIMATION, sample_index)
     )
     pa_lower = lower_conf_bound(est.counts[guess], n_estimation, 1.0 - alpha)
     if pa_lower <= 0.5:
@@ -277,9 +296,9 @@ def empirical_margin_loss(
     cols = np.arange(k)
     wrong = 0
     for i in range(X.shape[0]):
-        g = rng.stream(noise.base_seed, i, rng.PHASE_MARGIN)
         counts = np.zeros(k, dtype=np.int64)
-        for Z in _noisy_logits(model, X[i], noise, num, g):
+        key = (noise.base_seed, rng.PHASE_MARGIN, i)
+        for Z in _noisy_logits(model, X[i], noise, num, key):
             part = np.partition(Z, -2, axis=1)
             top, second = part[:, -1], part[:, -2]
             am = np.argmax(Z, axis=1)

@@ -222,8 +222,8 @@ def grid_attack(
     min_norm: float | None = None
     worst: tuple[float, ...] | None = None
     for j in range(probes.shape[0]):
-        g = rng.stream(noise.base_seed, sample_index, rng.PHASE_ATTACK, j)
-        vote = sample_under_noise(model, x + probes[j], votes_per_probe, noise, g).top()
+        key = (noise.base_seed, rng.PHASE_ATTACK, sample_index, j)
+        vote = sample_under_noise(model, x + probes[j], votes_per_probe, noise, key).top()
         if vote != certified_class:
             n_flips += 1
             nj = float(norms[j])

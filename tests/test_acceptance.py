@@ -22,7 +22,7 @@ import pytest
 
 from conftest import central_diff, rand_model, write_idx_pair
 import oracles
-from smoothcert import bounds, cli, data, nn, rng, smoothing, spectral
+from smoothcert import bounds, cli, data, nn, smoothing, spectral
 from smoothcert.nn import MlpModel, init_model
 from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
 from smoothcert.smoothing import NoiseConfig, certify
@@ -405,7 +405,7 @@ def test_criterion_8_invariant_suite(criterion, tmp_path):
         c.check(all(a >= b for a, b in zip(curve, curve[1:])),
                 "certified-accuracy curve increased somewhere")
 
-        votes = smoothing.sample_under_noise(mdl, X[0], 137, noise, rng.stream(1, 2, 3))
+        votes = smoothing.sample_under_noise(mdl, X[0], 137, noise, (1, 2, 3))
         c.check(sum(votes.counts) == 137, "vote counts do not sum to draws")
 
         W = g.standard_normal((5, 7))

@@ -173,6 +173,17 @@ def test_sigma_flagged_when_nothing_qualifies(checkpoint, tmp_path, capsys):
     assert "flagged" in capsys.readouterr().out
 
 
+def test_sigma_failure_leaves_no_out(checkpoint, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("search failed")
+
+    monkeypatch.setattr(cli, "select_sigma", fail)
+    out = tmp_path / "sig"
+    assert cli.main(["sigma", "--checkpoint", checkpoint, "--out", str(out), *DATA_FLAGS]) == 1
+    assert capsys.readouterr().err == "error: search failed\n"
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- certify ---
 
 
@@ -243,6 +254,17 @@ def test_certify_workers_stop_at_a_failing_sample(checkpoint, tmp_path, monkeypa
     # the pool stops taking samples, and joins its threads, once one fails
     assert 1 in calls and len(calls) < 60
     assert threading.active_count() == before
+
+
+def test_certify_failure_leaves_no_out(checkpoint, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("certify failed")
+
+    monkeypatch.setattr(smoothing, "certify", fail)
+    out = tmp_path / "x"
+    assert cli.main(certify_args(checkpoint, out)) == 1
+    assert capsys.readouterr().err == "error: certify failed\n"
+    assert not out.exists()
 
 
 def test_certify_bad_sigma2_usage_error(checkpoint, tmp_path, capsys):
@@ -479,6 +501,8 @@ def test_report_empty_dir_exits_1(tmp_path, capsys):
     ("radius,accuracy\nnan,0.5\n", "line 2 is not finite"),
     ("radius,accuracy\n0.0,1.0\n0.2,inf\n", "line 3 is not finite"),
     ("radius,accuracy\n-inf,1.0\n", "line 2 is not finite"),
+    ("radius,accuracy\n-1.0,0.5\n", "line 2 needs a radius >= 0"),
+    ("radius,accuracy\n0.0,1.0\n0.5,5.0\n", "line 3 needs a radius >= 0 and an accuracy in [0, 1]"),
 ])
 def test_report_malformed_curve_exits_1(tmp_path, capsys, text, message):
     # every input is read before --out is made: the good first run must not

@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
 
-from smoothcert import rng
+import oracles
+from smoothcert import data, nn, rng, smoothing
+from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
+from smoothcert.smoothing import NoiseConfig
+from smoothcert.train import TrainConfig, train
 
 
 def test_same_path_same_draws():
@@ -48,7 +53,83 @@ def test_phase_constants_distinct():
 
 
 def test_rejects_negative_seed():
-    import pytest
-
     with pytest.raises(ValueError):
         rng.stream(-1)
+
+
+def test_vote_stream_is_sfc64_keyed_by_chunk():
+    a = rng.vote_stream((42, rng.PHASE_ESTIMATION, 3), 0)
+    assert isinstance(a.bit_generator, np.random.SFC64)
+    assert a.bit_generator.seed_seq.spawn_key == (rng.PHASE_ESTIMATION, 3, 0)
+    same = rng.vote_stream((42, rng.PHASE_ESTIMATION, 3), 0).standard_normal(100)
+    other = rng.vote_stream((42, rng.PHASE_ESTIMATION, 3), 1).standard_normal(100)
+    first = a.standard_normal(100)
+    assert np.array_equal(first, same)
+    assert not np.array_equal(first, other)
+    with pytest.raises(ValueError):
+        rng.vote_stream((0, rng.PHASE_ESTIMATION, -1), 0)
+    with pytest.raises(ValueError):
+        rng.vote_stream((-1, rng.PHASE_ESTIMATION, 0), 0)
+
+
+def _record_keys(monkeypatch) -> list:
+    """Make every ``rng`` stream append its ``(base_seed, *spawn_key)`` path
+    to the returned list, whichever bit generator the path feeds."""
+    keys = []
+    stream, vote_stream = rng.stream, rng.vote_stream
+
+    def record_stream(base_seed, *path):
+        keys.append((base_seed, *path))
+        return stream(base_seed, *path)
+
+    def record_vote(key, chunk):
+        keys.append((*key, chunk))
+        return vote_stream(key, chunk)
+
+    monkeypatch.setattr(rng, "stream", record_stream)
+    monkeypatch.setattr(rng, "vote_stream", record_vote)
+    return keys
+
+
+def test_no_two_consumers_share_a_stream_key(monkeypatch):
+    # every consumer in the package and in the test oracles, all at base seed
+    # 0 over small indices: no path may repeat, whichever bit generator it
+    # feeds, and every phase tag must show up
+    keys = _record_keys(monkeypatch)
+    ds = data.synth_blobs(3, 2, 60, 0.1, 0)
+    data.synth_digits(3, 4, 6, 0)
+    X = data.augment(ds.inputs)
+    model = nn.init_model((3, 6, 3), seed=0)
+    model, _ = train(model, X, ds.labels, TrainConfig(epochs=7, batch_size=16, seed=0))
+    select_sigma(model, X, ds.labels, SigmaSearchConfig(
+        grid_start=0.01, grid_stop=0.03, grid_step=0.01, n_samples=3, full_scan=True))
+    noise = NoiseConfig(sigma_input=0.3, sigma_weight=0.1, base_seed=0)
+    num = 2 * smoothing._CHUNK + 1
+    for i in range(6):
+        smoothing.certify(model, X[i], noise, n_selection=10, n_estimation=num, sample_index=i)
+    smoothing.empirical_margin_loss(model, X[:6], ds.labels[:6], 0.1, noise, num)
+    oracles.mc_correlation(model, 10, 1.0, seed=0)
+    oracles.grid_attack(model, X[0], 0, 0.0, 0.2, noise, grid_density=3,
+                        votes_per_probe=num, sample_index=2)
+    assert len(set(keys)) == len(keys)
+    assert {k[0] for k in keys} == {0}
+    phases = {v for n, v in vars(rng).items() if n.startswith("PHASE_")}
+    assert {k[1] for k in keys} == phases
+
+
+def test_certify_estimation_misses_the_shuffle_stream(monkeypatch):
+    # vote keys were once (seed, index, phase), so at seed 0 sample 2's
+    # estimation votes drew from stream(0, PHASE_SHUFFLE, 5): the stream that
+    # ordered training epoch 5's minibatches
+    shuffle = rng.stream(0, rng.PHASE_SHUFFLE, 5).bit_generator.seed_seq.generate_state(8)
+    model = nn.init_model((3, 4, 2), seed=0)
+    noise = NoiseConfig(sigma_input=0.5, base_seed=0)
+    keys = _record_keys(monkeypatch)
+    smoothing.certify(model, np.ones(3), noise, n_selection=10,
+                      n_estimation=2 * smoothing._CHUNK, sample_index=2)
+    est = [k for k in keys if k[:3] == (0, rng.PHASE_ESTIMATION, 2)]
+    assert len(est) == 2
+    for base_seed, *path in est:
+        seq = np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(path))
+        assert not np.array_equal(seq.generate_state(8), shuffle)
+    assert (0, rng.PHASE_SHUFFLE, 5) not in {k[:3] for k in keys}

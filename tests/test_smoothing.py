@@ -11,7 +11,9 @@ from scipy.stats import norm
 from smoothcert import rng
 from smoothcert.nn import MlpModel, forward_batch
 from smoothcert.smoothing import (
+    _CHUNK,
     ABSTAIN,
+    _chunk_sampler,
     NoiseConfig,
     VoteCounts,
     certified_accuracy_curve,
@@ -39,7 +41,7 @@ def test_zero_noise_votes_equal_plain_argmax():
     for seed in range(5):
         model = rand_model((6, 5, 4), seed=seed)
         x = g.standard_normal(6)
-        votes = sample_under_noise(model, x, 32, NO_NOISE, rng.stream(seed))
+        votes = sample_under_noise(model, x, 32, NO_NOISE, (seed,))
         want = int(np.argmax(forward_batch(model, x[None, :])[0][0]))
         assert votes.counts[want] == 32
         assert sum(votes.counts) == votes.draws == 32
@@ -47,7 +49,7 @@ def test_zero_noise_votes_equal_plain_argmax():
 
 def test_vote_count_conservation_under_noise(tiny_model):
     noise = NoiseConfig(sigma_input=0.8, sigma_weight=0.4)
-    votes = sample_under_noise(tiny_model, np.zeros(6), 5001, noise, rng.stream(3))
+    votes = sample_under_noise(tiny_model, np.zeros(6), 5001, noise, (3,))
     assert sum(votes.counts) == votes.draws == 5001
     assert all(c >= 0 for c in votes.counts)
 
@@ -59,9 +61,25 @@ def test_top_breaks_ties_to_lowest_index():
 
 def test_identical_streams_reproduce_votes(tiny_model):
     noise = NoiseConfig(sigma_input=0.3, sigma_weight=0.2)
-    a = sample_under_noise(tiny_model, np.ones(6), 5000, noise, rng.stream(7))
-    b = sample_under_noise(tiny_model, np.ones(6), 5000, noise, rng.stream(7))
+    a = sample_under_noise(tiny_model, np.ones(6), 5000, noise, (7,))
+    b = sample_under_noise(tiny_model, np.ones(6), 5000, noise, (7,))
     assert a == b
+
+
+def test_chunk_tallies_sum_to_the_call_tally():
+    # each chunk draws from its own key, so tallying the chunks one by one,
+    # last first, gives the call's tally exactly
+    model = rand_model((12, 3, 3), seed=3)  # row-space input noise
+    x = np.linspace(-1.0, 1.0, 12)
+    noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
+    key = (4, rng.PHASE_ESTIMATION, 9)
+    num = 3 * _CHUNK + 5
+    draw = _chunk_sampler(model, x, noise)
+    counts = np.zeros(3, dtype=np.int64)
+    for c in reversed(range(4)):
+        Z = draw(min(_CHUNK, num - c * _CHUNK), rng.vote_stream(key, c))
+        counts += np.bincount(np.argmax(Z, axis=1), minlength=3)
+    assert sample_under_noise(model, x, num, noise, key).counts == tuple(counts)
 
 
 def test_symmetric_input_splits_votes_in_binomial_band():
@@ -69,7 +87,7 @@ def test_symmetric_input_splits_votes_in_binomial_band():
     model = model_of(np.eye(2))
     noise = NoiseConfig(sigma_input=1.0, sigma_weight=0.0)
     num = 100_000
-    votes = sample_under_noise(model, np.zeros(2), num, noise, rng.stream(1))
+    votes = sample_under_noise(model, np.zeros(2), num, noise, (1,))
     band = 3.0 * math.sqrt(num * 0.25)
     assert abs(votes.counts[0] - num / 2.0) <= band
 
@@ -95,7 +113,7 @@ def test_sampler_modes_agree_statistically():
     for model, x in _agreement_cases():
         for si, sw in ((0.2, 0.2), (1.0, 0.5), (0.0, 0.5), (0.5, 0.0)):
             noise = NoiseConfig(sigma_input=si, sigma_weight=sw)
-            fast = sample_under_noise(model, x, num, noise, rng.stream(5))
+            fast = sample_under_noise(model, x, num, noise, (5,))
             slow = reference_votes(model, x, num, noise, rng.stream(6))
             assert fast.draws == slow.draws == num
             for a, b in zip(fast.counts, slow.counts):
@@ -107,9 +125,9 @@ def test_sampler_modes_agree_statistically():
 def test_sample_under_noise_validates():
     model = model_of(np.eye(2))
     with pytest.raises(ValueError):
-        sample_under_noise(model, np.zeros(3), 10, NO_NOISE, rng.stream(0))
+        sample_under_noise(model, np.zeros(3), 10, NO_NOISE, (0,))
     with pytest.raises(ValueError):
-        sample_under_noise(model, np.zeros(2), 0, NO_NOISE, rng.stream(0))
+        sample_under_noise(model, np.zeros(2), 0, NO_NOISE, (0,))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -118,7 +136,7 @@ def test_non_finite_input_is_rejected_not_voted(bad):
     model = model_of([[1.0, 0.0], [-1.0, 0.0]])
     noise = NoiseConfig(sigma_input=0.25, sigma_weight=0.1)
     with pytest.raises(ValueError, match="non-finite"):
-        sample_under_noise(model, np.array([bad, 0.0]), 10, noise, rng.stream(0))
+        sample_under_noise(model, np.array([bad, 0.0]), 10, noise, (0,))
     with pytest.raises(ValueError, match="non-finite"):
         certify(model, np.array([bad, 0.0]), noise, n_selection=10, n_estimation=100)
 
