@@ -16,6 +16,7 @@ at the model boundary: datasets here store raw inputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ class Dataset:
             raise ValueError("inputs must be a 2-D matrix")
         if y.shape != (X.shape[0],):
             raise ValueError("labels must match the number of input rows")
-        if X.size and (X.min() < 0.0 or X.max() > 1.0):
+        if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):  # NaN fails both
             raise ValueError("inputs must lie in [0, 1]")
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -88,44 +89,38 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
+def _read_idx(path, magic: int, what: str, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """One IDX file's ``ndim`` dims and flat ubyte payload, after checking
+    its magic and that the payload is exactly as long as the dims promise."""
+    with open(path, "rb") as f:
+        (got,) = struct.unpack(">I", _read_exact(f, 4, f"{what} magic"))
+        if got != magic:
+            raise ValueError(f"bad {what} magic 0x{got:08x} in {path}")
+        dims = struct.unpack(f">{ndim}I", _read_exact(f, 4 * ndim, f"{what} dims"))
+        payload = f.read()
+    expected = math.prod(dims)
+    if len(payload) != expected:
+        raise ValueError(f"{what} payload is {len(payload)} bytes, header promises {expected}")
+    return dims, np.frombuffer(payload, dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path, name: str | None = None, k: int | None = None) -> Dataset:
     """Load an IDX image/label file pair into a Dataset.
 
-    Validates magics, dimension counts, and exact payload lengths; the image
-    and label counts must agree, and a set with no images or no pixels is
+    ``_read_idx`` checks each file's magic, dims and payload length; a set
+    with no images or no pixels, or whose image and label counts differ, is
     rejected.  ``k`` defaults to max(label) + 1.
     """
-    images_path, labels_path = Path(images_path), Path(labels_path)
-    with open(images_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, "image magic"))
-        if magic != IMAGE_MAGIC:
-            raise ValueError(f"bad image magic 0x{magic:08x} in {images_path}")
-        count, rows, cols = struct.unpack(">III", _read_exact(f, 12, "image dims"))
-        if count == 0 or rows * cols == 0:
-            raise ValueError(f"empty IDX images in {images_path}: {count} x {rows} x {cols}")
-        payload = f.read()
-    expected = count * rows * cols
-    if len(payload) != expected:
-        raise ValueError(
-            f"image payload is {len(payload)} bytes, header promises {expected}"
-        )
-    images = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    images = images.reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, "label magic"))
-        if magic != LABEL_MAGIC:
-            raise ValueError(f"bad label magic 0x{magic:08x} in {labels_path}")
-        (lcount,) = struct.unpack(">I", _read_exact(f, 4, "label count"))
-        lpayload = f.read()
-    if len(lpayload) != lcount:
-        raise ValueError(f"label payload is {len(lpayload)} bytes, header promises {lcount}")
+    (count, rows, cols), pixels = _read_idx(images_path, IMAGE_MAGIC, "image", 3)
+    if count == 0 or rows * cols == 0:
+        raise ValueError(f"empty IDX images in {images_path}: {count} x {rows} x {cols}")
+    (lcount,), labels = _read_idx(labels_path, LABEL_MAGIC, "label", 1)
     if lcount != count:
         raise ValueError(f"image count {count} != label count {lcount}")
-    labels = np.frombuffer(lpayload, dtype=np.uint8).astype(np.int64)
     if k is None:
         k = int(labels.max()) + 1
-    return Dataset(images, labels, k, name or images_path.stem)
+    images = (pixels / 255.0).reshape(count, rows * cols)
+    return Dataset(images, labels, k, name or Path(images_path).stem)  # casts labels to int64
 
 
 def synth_blobs(k: int, d: int, m: int, spread: float, seed: int, name: str = "synth") -> Dataset:

@@ -29,6 +29,24 @@ def _as_f64(a) -> np.ndarray:
     return out
 
 
+def _labelled(model: MlpModel, inputs, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Check a labelled set against ``model``: float64 inputs (m, d), m >= 1,
+    all finite; ``y = np.asarray(labels)``, uncast, each in [0, k)."""
+    X = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(labels)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValueError("inputs must be (m, d) with matching (m,) labels")
+    if X.shape[0] == 0:
+        raise ValueError("need at least one example")
+    if X.shape[1] != model.in_dim:
+        raise ValueError(f"input dim {X.shape[1]} != model input dim {model.in_dim}")
+    if not np.isfinite(X).all():
+        raise ValueError("inputs have non-finite entries")
+    if y.min() < 0 or y.max() >= model.out_dim:
+        raise ValueError(f"labels must lie in [0, {model.out_dim}), the model's classes")
+    return X, y
+
+
 @dataclass(frozen=True)
 class MlpModel:
     """Immutable stack of float64 weight matrices, each shaped (out, in)."""

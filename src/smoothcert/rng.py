@@ -22,6 +22,10 @@ Two bit generators sit on those keys:
   another's.  The vote phases are ``PHASE_SELECTION``,
   ``PHASE_ESTIMATION``, ``PHASE_MARGIN`` and, in the test oracles,
   ``PHASE_ATTACK``.
+
+Key components reach ``SeedSequence`` unchanged, which raises ValueError for
+a negative one and TypeError for a non-integer one (``stream(0, 1.7)``); a
+``base_seed`` of None, which it would fill from the OS, raises TypeError.
 """
 
 from __future__ import annotations
@@ -43,19 +47,16 @@ PHASE_CORR = 12
 
 
 def _seed_sequence(base_seed: int, path) -> np.random.SeedSequence:
-    if base_seed < 0:
-        raise ValueError("base_seed must be non-negative")
-    key = tuple(int(p) for p in path)
-    if any(p < 0 for p in key):
-        raise ValueError("stream path components must be non-negative")
-    return np.random.SeedSequence(entropy=int(base_seed), spawn_key=key)
+    if base_seed is None:
+        raise TypeError("base_seed must be a non-negative integer, not None")
+    return np.random.SeedSequence(entropy=base_seed, spawn_key=path)
 
 
 def stream(base_seed: int, *path: int) -> np.random.Generator:
     """Return the Philox generator keyed by ``(base_seed, *path)``.
 
     The same arguments always produce the same stream.  ``base_seed`` and all
-    path components must be non-negative integers.
+    path components must be non-negative integers; see the module docstring.
     """
     return np.random.Generator(np.random.Philox(_seed_sequence(base_seed, path)))
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn import MlpModel
+from .nn import MlpModel, _labelled
 from .train import evaluate
 
 _DROP_EPS = 1e-12
@@ -90,14 +90,7 @@ class SigmaSearchResult:
 
 def select_sigma(model: MlpModel, inputs, labels, cfg: SigmaSearchConfig) -> SigmaSearchResult:
     """Largest grid variance whose mean perturbed-accuracy drop <= tolerance."""
-    X = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("inputs must be (m, d) with matching (m,) labels")
-    if X.shape[1] != model.in_dim:
-        raise ValueError("evaluation inputs do not match the model's input dim")
-    if X.shape[0] == 0:
-        raise ValueError("need at least one evaluation example")
+    X, y = _labelled(model, inputs, labels)
     X, y = X[: cfg.eval_subset], y[: cfg.eval_subset]
     base_acc = evaluate(model, X, y)
 

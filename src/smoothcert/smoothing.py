@@ -50,7 +50,7 @@ from scipy.special import betainc, betaincinv
 
 from . import rng
 from .bounds import vote_probability_gap
-from .nn import MlpModel
+from .nn import MlpModel, _labelled
 
 ABSTAIN = -1
 
@@ -189,7 +189,8 @@ def sample_under_noise(
 ) -> VoteCounts:
     """Tally argmax votes of the jointly-perturbed network over ``num`` draws.
 
-    ``key`` is a vote key ``(base_seed, phase, *indices)``; see ``rng``.
+    ``key`` is a vote key ``(base_seed, phase, *indices)``; see ``rng``.  Its
+    first element is the seed: ``noise.base_seed`` is not read here.
     """
     k = model.out_dim
     counts = np.zeros(k, dtype=np.int64)
@@ -282,15 +283,10 @@ def empirical_margin_loss(
     is not its label.  gamma = 0 with zero noise reduces to the plain 0-1
     error.  Monotone non-decreasing in gamma at fixed seeds.
     """
-    X = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("inputs must be (m, d) with matching (m,) labels")
+    X, y = _labelled(model, inputs, labels)
     if gamma < 0.0 or not np.isfinite(gamma):
         raise ValueError("gamma must be finite and >= 0")
     k = model.out_dim
-    if np.any((y < 0) | (y >= k)):
-        raise ValueError(f"labels must lie in [0, {k}), the model's classes")
     if k == 1:
         return 0.0
     cols = np.arange(k)

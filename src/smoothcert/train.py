@@ -43,6 +43,7 @@ import numpy as np
 from . import rng
 from .nn import (
     MlpModel,
+    _labelled,
     backward_batch,
     cross_entropy_batch,
     forward_batch,
@@ -128,20 +129,15 @@ def train(
     """Run the full schedule; returns the final model and per-epoch metrics.
 
     ``inputs`` must already live in the model's input space (bias-augmented
-    by the caller if the model expects it).  Per-epoch ``reg_value`` is the
-    regularizer evaluated on the END-of-epoch weights, so it matches a fresh
-    spectral recomputation on that epoch's checkpoint.  ``train_acc`` is the
-    running accuracy over the noisy minibatches the optimizer actually saw.
+    by the caller if the model expects it); ``nn._labelled`` checks the set,
+    non-finite entries included, before the first epoch.  Per-epoch
+    ``reg_value`` is the regularizer evaluated on the END-of-epoch weights,
+    so it matches a fresh spectral recomputation on that epoch's checkpoint.
+    ``train_acc`` is the running accuracy over the noisy minibatches the
+    optimizer actually saw.
     """
-    X = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("inputs must be (m, d) with matching (m,) labels")
-    if X.shape[1] != model.in_dim:
-        raise ValueError("training inputs do not match the model's input dim")
+    X, y = _labelled(model, inputs, labels)
     m = X.shape[0]
-    if m == 0:
-        raise ValueError("need at least one training example")
     sigma = float(np.sqrt(cfg.noise_variance))
     velocities = [np.zeros_like(w) for w in model.layers]
     metrics: list[EpochMetrics] = []
@@ -238,7 +234,6 @@ def ahead(fn: Callable, items: Iterable[tuple], threads: int) -> Iterator[Iterat
 
 def evaluate(model: MlpModel, inputs, labels) -> float:
     """Plain argmax accuracy (ties to the lowest class index)."""
-    X = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
+    X, y = _labelled(model, inputs, labels)
     logits, _ = forward_batch(model, X)
     return float(np.mean(np.argmax(logits, axis=1) == y))

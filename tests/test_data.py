@@ -168,6 +168,10 @@ def test_dataset_validation():
         data.Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 2, "x")
     with pytest.raises(ValueError):
         data.Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int), 2, "x")
+    # NaN fails both comparisons of a min/max range check
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            data.Dataset(np.array([[bad, 0.5]]), np.array([0]), 1, "x")
 
 
 # ------------------------------------------------------------ checkpoints

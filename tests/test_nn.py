@@ -13,6 +13,9 @@ from smoothcert.nn import (
     plain_step,
     sgd_step,
 )
+from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
+from smoothcert.smoothing import NoiseConfig, empirical_margin_loss
+from smoothcert.train import TrainConfig, evaluate, train
 
 from conftest import central_diff, loop_forward, rand_model, relative_error
 
@@ -268,3 +271,53 @@ def test_init_model_shapes_and_scale():
 def test_init_model_needs_two_dims():
     with pytest.raises(ValueError):
         init_model((5,))
+
+
+# ------------------------------------------------------------ labelled sets
+
+def _nan_entry(X, y):
+    X = X.copy()
+    X[1, 2] = np.nan
+    return X, y
+
+
+def _label(bad):
+    def edit(X, y):
+        y = y.copy()
+        y[2] = bad
+        return X, y
+    return edit
+
+
+_BAD_SETS = {
+    "empty": lambda X, y: (X[:0], y[:0]),
+    "1-D inputs": lambda X, y: (X[:, 0], y),
+    "labels one short": lambda X, y: (X, y[:-1]),
+    "wrong input dim": lambda X, y: (X[:, :2], y),
+    "NaN entry": _nan_entry,
+    "label -1": _label(-1),
+    "label k": _label(2),
+}
+
+_LABELLED_CALLERS = {
+    "train": lambda model, X, y: train(model, X, y, TrainConfig(epochs=1, batch_size=4)),
+    "evaluate": evaluate,
+    "select_sigma": lambda model, X, y: select_sigma(model, X, y, SigmaSearchConfig(
+        grid_start=0.01, grid_stop=0.01, n_samples=1)),
+    "empirical_margin_loss": lambda model, X, y: empirical_margin_loss(
+        model, X, y, 0.1, NoiseConfig(sigma_input=0.1), 4),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_SETS)
+@pytest.mark.parametrize("caller", _LABELLED_CALLERS)
+def test_labelled_set_checks(caller, bad):
+    # every function that takes a labelled set refuses the same bad ones;
+    # an empty margin set once divided by zero, an empty evaluate gave NaN,
+    # and select_sigma took a NaN row and a label the model has no class for
+    model = init_model((3, 4, 2), seed=0)
+    X = np.full((4, 3), 0.5)
+    y = np.array([0, 1, 0, 1])
+    _LABELLED_CALLERS[caller](model, X, y)  # the good set passes
+    with pytest.raises(ValueError):
+        _LABELLED_CALLERS[caller](model, *_BAD_SETS[bad](X, y))

@@ -55,6 +55,40 @@ def test_phase_constants_distinct():
 def test_rejects_negative_seed():
     with pytest.raises(ValueError):
         rng.stream(-1)
+    # and every other negative component, numpy integers included
+    for bad in (-1, np.int64(-1)):
+        with pytest.raises(ValueError):
+            rng.stream(0, bad)
+        with pytest.raises(ValueError):
+            rng.stream(bad, 0)
+        with pytest.raises(ValueError):
+            rng.vote_stream((0, rng.PHASE_MARGIN, 0), bad)
+
+
+def test_non_integer_key_components_are_refused():
+    # the keys were once truncated by int(): stream(0, 1.7) was stream(0, 1),
+    # and certify at sample_index=1.9 reused sample 1's votes
+    with pytest.raises(TypeError):
+        rng.stream(0, 1.7)
+    with pytest.raises(TypeError):
+        rng.vote_stream((0.9, rng.PHASE_ESTIMATION, 1), 0)
+    with pytest.raises(TypeError):
+        smoothing.certify(nn.init_model((3, 2), seed=0), np.ones(3), NoiseConfig(0.5),
+                          n_selection=10, n_estimation=10, sample_index=1.9)
+    # SeedSequence would fill a None seed from the OS
+    with pytest.raises(TypeError):
+        rng.stream(None, 1)
+    with pytest.raises(TypeError):
+        rng.vote_stream((None, rng.PHASE_ESTIMATION, 1), 0)
+
+
+def test_numpy_integer_components_key_the_python_int_streams():
+    want = rng.stream(3, 4, 5).standard_normal(8)
+    got = rng.stream(np.int64(3), np.uint32(4), np.int64(5)).standard_normal(8)
+    assert np.array_equal(got, want)
+    key = (np.uint32(3), np.int64(rng.PHASE_MARGIN), np.uint32(2))
+    want = rng.vote_stream((3, rng.PHASE_MARGIN, 2), 1).standard_normal(8)
+    assert np.array_equal(rng.vote_stream(key, np.int64(1)).standard_normal(8), want)
 
 
 def test_vote_stream_is_sfc64_keyed_by_chunk():
