@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn import MlpModel, _labelled
-from .train import evaluate
+from .nn import MlpModel, _labelled, forward_batch
 
 _DROP_EPS = 1e-12
 _BLOCK_COLS = 512
@@ -92,7 +91,7 @@ def select_sigma(model: MlpModel, inputs, labels, cfg: SigmaSearchConfig) -> Sig
     """Largest grid variance whose mean perturbed-accuracy drop <= tolerance."""
     X, y = _labelled(model, inputs, labels)
     X, y = X[: cfg.eval_subset], y[: cfg.eval_subset]
-    base_acc = evaluate(model, X, y)
+    base_acc = float(np.mean(np.argmax(forward_batch(model, X)[0], axis=1) == y))
 
     best: float | None = None
     trace: list[tuple[float, float]] = []

@@ -23,10 +23,10 @@ noisy input ``z`` only through ``W0 z`` and ``||z||``, so for a first
 layer of ``h < d`` rows a vote needs ``h + 1`` normals (the row-space
 coordinates of ``z`` and its coordinate along ``x``'s out-of-span part) and
 one chi-square with ``d - h - 1`` degrees of freedom for the squared norm
-of the rest: the same joint distribution as ``d`` fresh normals.  Per
-chunk the draws come in this order: those input normals, the chi-square,
-then each layer's weight noise.  A first layer with ``h >= d`` rows draws
-all ``d`` input coordinates directly.
+of the rest: the same joint distribution as ``d`` fresh normals.  Each
+chunk's generator draws in this order: those input normals, the
+chi-square, then each layer's weight noise.  A first layer with ``h >= d``
+rows draws all ``d`` input coordinates directly.
 
 Votes are drawn in chunks of ``_CHUNK`` = 1024.  A call takes a vote key
 ``(base_seed, phase, *indices)`` -- ``PHASE_SELECTION`` and
@@ -38,6 +38,18 @@ tallies in any order is the call's tally.  Sampling is deterministic given
 the model, input and key: identical keys reproduce identical votes
 bit-for-bit.  Non-finite inputs or weights are rejected rather than voted
 on.  Ties in the vote argmax always break to the lowest class index.
+
+The sampler draws a block of inputs at once: ``b`` votes for each row, row
+``j``'s from its own generator, stacked in row order, with the products,
+norms and ReLUs run once over the whole block.  ``certify`` and
+``sample_under_noise`` pass a block of one input, one chunk at a time.
+``empirical_margin_loss`` packs ``_CHUNK // num`` examples into a block
+when ``num <= _CHUNK`` (at most ``_CHUNK`` votes in all, so a block takes
+one chunk's memory), and one example's chunk otherwise; example ``i`` always
+draws chunk ``c`` from ``rng.vote_stream((base_seed, PHASE_MARGIN, i), c)``.
+A generator's draws do not depend on the block, but BLAS picks its kernel
+by the product's size, so the logits of a many-row block can differ from a
+one-row block's by about 1e-15.
 """
 
 from __future__ import annotations
@@ -111,77 +123,94 @@ class CertifyResult:
         return self.predicted == ABSTAIN
 
 
-def _chunk_sampler(model, x, noise: NoiseConfig):
-    """Check ``x`` and the model, and return ``draw(b, g)``: the logits of
-    ``b`` votes of the jointly-perturbed network at x, drawn from ``g``.
+def _chunk_sampler(model, X, noise: NoiseConfig):
+    """Check the block ``X`` (r, d) and the model, and return
+    ``draw(b, gens)``: the logits (r * b, k) of ``b`` votes of the
+    jointly-perturbed network at each row of X, row ``j``'s votes drawn from
+    ``gens[j]`` and stacked in row order.
 
-    With ``(Q, P) = model.row_basis``, ``x`` has the coordinates
-    ``c = (Q.T x, ||x - Q Q.T x||)``; a vote draws ``Y = c + sigma_input *
-    N(0, I)``, so ``W0 z = P Y`` and ``||z||^2 = ||Y||^2 + sigma_input^2 *
-    chi2(d - len(c))``.  Without a basis ``c = x`` and ``P = W0``.  The
-    chi-square is drawn only when weight noise needs ``||z||``.  Draw order
-    is fixed (input normals, the chi-square, then each layer's weight noise
-    in order) so identical generators reproduce identical logits.
+    With ``(Q, P) = model.row_basis``, row ``x`` has the coordinates
+    ``c = (Q.T x, ||x - Q Q.T x||)``, computed one row at a time; a vote
+    draws ``Y = c + sigma_input * N(0, I)``, so ``W0 z = P Y`` and
+    ``||z||^2 = ||Y||^2 + sigma_input^2 * chi2(d - len(c))``.  Without a
+    basis ``c = x`` and ``P = W0``.  The chi-square is drawn only when
+    weight noise needs ``||z||``.  Each generator fills its rows' slice of
+    the block arrays in a fixed order (input normals, the chi-square, then
+    each layer's weight noise in order), so identical generators reproduce
+    identical logits; the products, norms and ReLUs run once per block.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.in_dim:
-        raise ValueError(f"input shape {x.shape} incompatible with model input dim {model.in_dim}")
-    if not np.isfinite(x).all():
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.in_dim:
+        raise ValueError(f"input shape {X.shape} incompatible with model input dim {model.in_dim}")
+    if not np.isfinite(X).all():
         raise ValueError("input has non-finite entries")
     if not all(np.isfinite(w).all() for w in model.layers):
         raise ValueError("model has non-finite weights")
     si = float(noise.sigma_input)
     sw = float(noise.resolved_sigma_weight)
     if model.row_basis is None:
-        c, p = x, model.layers[0]
+        C, p = X, model.layers[0]
     else:
         q, p = model.row_basis
-        c = x @ q
-        c = np.append(c, np.linalg.norm(x - q @ c))
-    rest = x.shape[0] - c.shape[0]  # chi-square degrees of freedom
+        C = np.empty((X.shape[0], p.shape[1]))
+        for x, c in zip(X, C):
+            c[:-1] = x @ q
+            c[-1] = np.linalg.norm(x - q @ c[:-1])
+    r, width = C.shape
+    rest = X.shape[1] - width  # chi-square degrees of freedom
 
-    def draw(b: int, g: np.random.Generator) -> np.ndarray:
+    def draw(b: int, gens) -> np.ndarray:
         if si > 0.0:
-            Y = g.standard_normal((b, c.shape[0]))
+            Y = _normals((r * b, width), gens)
             Y *= si
-            Y += c
+            # row j's votes are Y.reshape(r, b, width)[j]; no view outlives
+            # the line, so `del Y` below frees the block
+            np.add(Y.reshape(r, b, width), C[:, None, :], out=Y.reshape(r, b, width))
         else:
-            Y = np.broadcast_to(c, (b, c.shape[0]))
+            Y = np.broadcast_to(C[:, None, :], (r, b, width)).reshape(r * b, width)
         Z = Y @ p.T
         if sw > 0.0:
             sq = np.square(Y).sum(axis=1)
             if rest and si > 0.0:
-                sq += si * si * g.chisquare(rest, b)
-            _add_weight_noise(Z, sw * np.sqrt(sq), g)
+                for g, part in zip(gens, sq.reshape(r, b)):
+                    part += si * si * g.chisquare(rest, b)
+            _add_weight_noise(Z, sw * np.sqrt(sq), gens)
         del Y
         for w in model.layers[1:]:
             np.maximum(Z, 0.0, out=Z)
             A = Z @ w.T
             if sw > 0.0:
-                _add_weight_noise(A, sw * np.linalg.norm(Z, axis=1), g)
+                _add_weight_noise(A, sw * np.linalg.norm(Z, axis=1), gens)
             Z = A
         return Z
 
     return draw
 
 
-def _noisy_logits(model, x, noise: NoiseConfig, num: int, key: tuple[int, ...]):
-    """Yield the logits of ``num`` votes at x, one chunk of at most
-    ``_CHUNK`` votes at a time; chunk ``i`` draws from
-    ``rng.vote_stream(key, i)``."""
-    draw = _chunk_sampler(model, x, noise)
-    if num < 1:
-        raise ValueError("need at least one draw")
-    for i, start in enumerate(range(0, num, _CHUNK)):
-        yield draw(min(_CHUNK, num - start), rng.vote_stream(key, i))
+def _normals(shape, gens) -> np.ndarray:
+    """Standard normals of ``shape``, its rows split into ``len(gens)`` equal
+    runs, run ``j`` drawn from ``gens[j]``."""
+    out = np.empty(shape)
+    for g, part in zip(gens, out.reshape(len(gens), -1, shape[1])):
+        g.standard_normal(out=part)
+    return out
 
 
-def _add_weight_noise(A, scale, g: np.random.Generator) -> None:
+def _add_weight_noise(A, scale, gens) -> None:
     """A += scale[:, None] * e with e ~ N(0, I), in place: the projected
-    weight noise of a layer whose input rows have norms ``scale / sigma``."""
-    e = g.standard_normal(A.shape)
+    weight noise of a layer whose input rows have norms ``scale / sigma``;
+    ``e``'s rows are drawn as in ``_normals``."""
+    e = _normals(A.shape, gens)
     e *= scale[:, None]
     A += e
+
+
+def _chunks(num: int) -> list[tuple[int, int]]:
+    """``(c, b)`` for each chunk of a ``num``-vote call: chunk ``c`` holds
+    ``b`` votes and draws from ``rng.vote_stream(key, c)``."""
+    if num < 1:
+        raise ValueError("need at least one draw")
+    return [(c, min(_CHUNK, num - start)) for c, start in enumerate(range(0, num, _CHUNK))]
 
 
 def sample_under_noise(
@@ -192,10 +221,11 @@ def sample_under_noise(
     ``key`` is a vote key ``(base_seed, phase, *indices)``; see ``rng``.  Its
     first element is the seed: ``noise.base_seed`` is not read here.
     """
+    draw = _chunk_sampler(model, np.asarray(x, dtype=np.float64)[None], noise)
     k = model.out_dim
     counts = np.zeros(k, dtype=np.int64)
-    for Z in _noisy_logits(model, x, noise, num, key):
-        counts += np.bincount(np.argmax(Z, axis=1), minlength=k)
+    for c, b in _chunks(num):
+        counts += np.bincount(np.argmax(draw(b, [rng.vote_stream(key, c)]), axis=1), minlength=k)
     return VoteCounts(counts=tuple(int(c) for c in counts), draws=num)
 
 
@@ -282,6 +312,16 @@ def empirical_margin_loss(
     (ties to the lowest index); an example counts as a loss when the winner
     is not its label.  gamma = 0 with zero noise reduces to the plain 0-1
     error.  Monotone non-decreasing in gamma at fixed seeds.
+
+    Example ``i``'s chunk ``c`` of ``num`` votes draws from
+    ``rng.vote_stream((noise.base_seed, PHASE_MARGIN, i), c)``, in the
+    order input normals, the chi-square, then each layer's weight noise.
+    When ``num <= _CHUNK`` the examples go through the sampler in blocks of
+    ``_CHUNK // num`` (the last block may hold fewer), and the votes of a
+    block are scored together and split per example by a reshape;
+    otherwise each block is one chunk of one example.  The block's products
+    may round differently from one example's, by about 1e-15 (see the
+    module docstring).
     """
     X, y = _labelled(model, inputs, labels)
     if gamma < 0.0 or not np.isfinite(gamma):
@@ -289,21 +329,27 @@ def empirical_margin_loss(
     k = model.out_dim
     if k == 1:
         return 0.0
+    chunks = _chunks(num)
+    per_block = max(1, _CHUNK // num)
     cols = np.arange(k)
     wrong = 0
-    for i in range(X.shape[0]):
-        counts = np.zeros(k, dtype=np.int64)
-        key = (noise.base_seed, rng.PHASE_MARGIN, i)
-        for Z in _noisy_logits(model, X[i], noise, num, key):
+    for start in range(0, X.shape[0], per_block):
+        stop = min(start + per_block, X.shape[0])
+        ys = y[start:stop]
+        draw = _chunk_sampler(model, X[start:stop], noise)
+        keys = [(noise.base_seed, rng.PHASE_MARGIN, i) for i in range(start, stop)]
+        counts = np.zeros((stop - start, k), dtype=np.int64)
+        for c, b in chunks:
+            Z = draw(b, [rng.vote_stream(key, c) for key in keys])
             part = np.partition(Z, -2, axis=1)
             top, second = part[:, -1], part[:, -2]
             am = np.argmax(Z, axis=1)
             max_others = np.where(cols[None, :] == am[:, None], second[:, None], top[:, None])
             ind = Z + gamma > max_others
-            ind[:, y[i]] = Z[:, y[i]] > max_others[:, y[i]] + gamma
-            counts += ind.sum(axis=0)
-        if int(np.argmax(counts)) != y[i]:
-            wrong += 1
+            votes, label = np.arange(Z.shape[0]), np.repeat(ys, b)
+            ind[votes, label] = Z[votes, label] > max_others[votes, label] + gamma
+            counts += ind.reshape(stop - start, b, k).sum(axis=1)
+        wrong += int(np.count_nonzero(np.argmax(counts, axis=1) != ys))
     return wrong / X.shape[0]
 
 

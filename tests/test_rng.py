@@ -151,6 +151,20 @@ def test_no_two_consumers_share_a_stream_key(monkeypatch):
     assert {k[1] for k in keys} == phases
 
 
+@pytest.mark.parametrize("num", [7, 200, smoothing._CHUNK, 2 * smoothing._CHUNK + 1])
+def test_margin_loss_keys_one_stream_per_example_and_chunk_in_order(monkeypatch, num):
+    # many examples share a block when num <= _CHUNK, yet example i still
+    # draws chunk c from its own key, and the keys come in example order
+    model = nn.init_model((5, 4, 3), seed=0)
+    m = 11
+    X = rng.stream(0, 99).standard_normal((m, 5))
+    keys = _record_keys(monkeypatch)
+    smoothing.empirical_margin_loss(model, X, np.arange(m) % 3, 0.1,
+                                    NoiseConfig(sigma_input=0.3, base_seed=4), num)
+    chunks = -(-num // smoothing._CHUNK)
+    assert keys == [(4, rng.PHASE_MARGIN, i, c) for i in range(m) for c in range(chunks)]
+
+
 def test_certify_estimation_misses_the_shuffle_stream(monkeypatch):
     # vote keys were once (seed, index, phase), so at seed 0 sample 2's
     # estimation votes drew from stream(0, PHASE_SHUFFLE, 5): the stream that

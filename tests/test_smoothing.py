@@ -74,12 +74,28 @@ def test_chunk_tallies_sum_to_the_call_tally():
     noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
     key = (4, rng.PHASE_ESTIMATION, 9)
     num = 3 * _CHUNK + 5
-    draw = _chunk_sampler(model, x, noise)
+    draw = _chunk_sampler(model, x[None, :], noise)
     counts = np.zeros(3, dtype=np.int64)
     for c in reversed(range(4)):
-        Z = draw(min(_CHUNK, num - c * _CHUNK), rng.vote_stream(key, c))
+        Z = draw(min(_CHUNK, num - c * _CHUNK), [rng.vote_stream(key, c)])
         counts += np.bincount(np.argmax(Z, axis=1), minlength=3)
     assert sample_under_noise(model, x, num, noise, key).counts == tuple(counts)
+
+
+@pytest.mark.parametrize("dims", [(12, 3, 3), (4, 6, 3)])  # row-space, and h >= d
+def test_block_rows_draw_as_one_row_blocks(dims):
+    # row j of a block draws its votes from gens[j] alone; only the block's
+    # products may round differently from a one-row block's
+    model = rand_model(dims, seed=8)
+    X = rng.stream(24, 98).standard_normal((5, dims[0]))
+    noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
+    b = 300
+    keys = [(2, rng.PHASE_MARGIN, i) for i in range(5)]
+    block = _chunk_sampler(model, X, noise)(b, [rng.vote_stream(key, 0) for key in keys])
+    assert block.shape == (5 * b, 3)
+    for j, key in enumerate(keys):
+        row = _chunk_sampler(model, X[j:j + 1], noise)(b, [rng.vote_stream(key, 0)])
+        assert np.allclose(block[j * b:(j + 1) * b], row, rtol=1e-12, atol=1e-12)
 
 
 def test_symmetric_input_splits_votes_in_binomial_band():
@@ -370,6 +386,62 @@ def test_margin_loss_monotone_in_gamma():
 def test_margin_loss_huge_gamma_fails_everything():
     model, X, y = margin_fixture()
     assert empirical_margin_loss(model, X, y, 1e9, NO_NOISE, num=4) == 1.0
+
+
+def reference_margin_loss(model, X, y, gamma, noise, num):
+    # one example at a time: each example's logits come from a one-row block
+    # under its own key, and each class's vote is scored against the largest
+    # of the other logits
+    k = model.out_dim
+    others = ~np.eye(k, dtype=bool)
+    wrong = 0
+    for i, x in enumerate(X):
+        draw = _chunk_sampler(model, x[None, :], noise)
+        key = (noise.base_seed, rng.PHASE_MARGIN, i)
+        counts = np.zeros(k, dtype=np.int64)
+        for c, start in enumerate(range(0, num, _CHUNK)):
+            Z = draw(min(_CHUNK, num - start), [rng.vote_stream(key, c)])
+            for j in range(k):
+                best_other = np.max(Z[:, others[j]], axis=1)
+                if j == y[i]:
+                    counts[j] += np.count_nonzero(Z[:, j] > best_other + gamma)
+                else:
+                    counts[j] += np.count_nonzero(Z[:, j] + gamma > best_other)
+        wrong += int(np.argmax(counts)) != y[i]
+    return wrong / len(X)
+
+
+@pytest.mark.parametrize("dims", [(12, 3, 3), (4, 6, 3)])  # row-space, and h >= d
+@pytest.mark.parametrize("num, m", [
+    (7, 150),            # blocks of 146 examples, the last one holds 4
+    (200, 13),           # blocks of 5, the last one holds 3
+    (_CHUNK, 4),         # one example per block
+    (2 * _CHUNK + 1, 3),  # one example per block, three chunks each
+])
+def test_batched_margin_loss_equals_per_example_loop(dims, num, m):
+    model = rand_model(dims, seed=7)
+    g = rng.stream(23, 98)
+    X = g.standard_normal((m, dims[0]))
+    y = np.argmax(forward_batch(model, X)[0], axis=1)
+    y[::3] = (y[::3] + 1) % 3
+    losses = []
+    for sw in (0.4, 0.0):
+        noise = NoiseConfig(sigma_input=0.6, sigma_weight=sw, base_seed=5)
+        for gamma in (0.0, 0.3):
+            got = empirical_margin_loss(model, X, y, gamma, noise, num)
+            assert got == reference_margin_loss(model, X, y, gamma, noise, num), (sw, gamma)
+            losses.append(got)
+    assert len(set(losses)) > 1  # the cases tell the noise levels and margins apart
+
+
+def test_margin_loss_rejects_non_finite_weights_before_any_vote(monkeypatch):
+    model = model_of([[1.0, np.nan, 0.0], [-1.0, 0.0, 0.0]])  # row-space first layer
+    keys = []
+    monkeypatch.setattr(rng, "vote_stream", lambda key, c: keys.append((key, c)))
+    with pytest.raises(ValueError, match="non-finite weights"):
+        empirical_margin_loss(model, np.zeros((9, 3)), np.zeros(9, dtype=int), 0.1,
+                              NoiseConfig(sigma_input=0.5), num=200)
+    assert keys == []
 
 
 @pytest.mark.parametrize("bad", [3, -1])
