@@ -9,7 +9,6 @@ evaluates closed-form generalization bounds from per-layer weight norms.
 from .bounds import (
     BoundInputs,
     BoundReport,
-    chi2_cdf,
     eps_x,
     evaluate_bound,
     generalization_bound,
@@ -46,13 +45,12 @@ from .smoothing import (
 from .spectral import (
     SpectralReport,
     collapsed_weight,
-    correlation_matrix,
     gershgorin_bound,
     regularizer_and_gradient,
     spectral_norm,
     spectral_report,
 )
-from .train import EpochMetrics, TrainConfig, TrainingDiverged, evaluate, train
+from .train import EpochMetrics, TrainConfig, TrainingDiverged, train
 
 __version__ = "0.1.0"
 
@@ -75,12 +73,9 @@ __all__ = [
     "certified_accuracy_curve",
     "certified_radius",
     "certify",
-    "chi2_cdf",
     "collapsed_weight",
-    "correlation_matrix",
     "empirical_margin_loss",
     "eps_x",
-    "evaluate",
     "evaluate_bound",
     "generalization_bound",
     "gershgorin_bound",

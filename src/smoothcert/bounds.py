@@ -3,8 +3,8 @@
 Everything here is deterministic 64-bit arithmetic on scalars and short
 vectors of per-layer norms.  The pieces:
 
-* ``chi2_cdf`` / ``tau_solve`` -- the chi-square CDF and the quantile tau at
-  probability sqrt(2)/2 for the (bias-augmented) input dimension.
+* ``tau_solve`` -- the chi-square quantile tau at probability sqrt(2)/2
+  for the (bias-augmented) input dimension.
 * ``psi`` -- the weight-noise variance budget implied by a margin ``gamma``,
   an input-norm bound ``B``, ``tau``, the layer count, the hidden width and
   the per-layer spectral norms.  Decreasing in every spectral norm.
@@ -25,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from scipy.special import gammainc, gammaincinv
+from scipy.special import gammaincinv
 
 logger = logging.getLogger(__name__)
 
@@ -33,23 +33,9 @@ _TARGET = math.sqrt(2.0) / 2.0
 _PA_CLAMP = 1.0 - 1e-12
 
 
-def chi2_cdf(x: float, d: int) -> float:
-    """CDF of the chi-square distribution with ``d`` degrees of freedom.
-
-    Evaluated as the regularized lower incomplete gamma P(d/2, x/2),
-    absolute error well below 1e-12.
-    """
-    if d < 1 or d != int(d):
-        raise ValueError("degrees of freedom must be a positive integer")
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    return float(gammainc(0.5 * d, 0.5 * x))
-
-
 def tau_solve(d: int) -> float:
-    """The point tau with chi2_cdf(tau, d) = sqrt(2)/2.
+    """The point tau where the chi-square CDF with ``d`` degrees of freedom,
+    P(d/2, tau/2), equals sqrt(2)/2.
 
     Closed form 2 * P^-1(d/2, sqrt(2)/2) through the inverse regularized
     lower incomplete gamma, accurate to a few ulps.
@@ -226,6 +212,16 @@ class BoundReport:
     inputs: dict
 
 
+def _tau_psi(inputs: BoundInputs) -> tuple[float, float]:
+    """tau and psi for ``inputs``; a psi that underflows to 0 leaves the KL
+    term and the bound undefined, so it raises."""
+    tau = tau_solve(inputs.d)
+    psi_value = psi(inputs.gamma, inputs.B, tau, inputs.n, inputs.h, inputs.per_layer_spectral)
+    if psi_value == 0.0:
+        raise ValueError("psi evaluated to 0; KL and bound are undefined")
+    return tau, psi_value
+
+
 def evaluate_bound(
     inputs: BoundInputs,
     empirical_margin_loss: float,
@@ -237,10 +233,7 @@ def evaluate_bound(
     A bound value >= 1 is flagged vacuous.  ``eps_x`` is evaluated only when
     both vote probabilities are supplied.
     """
-    tau = tau_solve(inputs.d)
-    psi_value = psi(inputs.gamma, inputs.B, tau, inputs.n, inputs.h, inputs.per_layer_spectral)
-    if psi_value == 0.0:
-        raise ValueError("psi evaluated to 0; KL and bound are undefined")
+    tau, psi_value = _tau_psi(inputs)
     phi_value = phi(inputs.per_layer_spectral, inputs.per_layer_frobenius, psi_value)
     kl = kl_term(inputs.per_layer_frobenius, psi_value)
     bound = generalization_bound(empirical_margin_loss, kl, inputs.m, inputs.delta)

@@ -38,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data, plot, smoothing, spectral
-from .bounds import BoundInputs, evaluate_bound, psi, tau_solve
-from .nn import init_model
+from .bounds import BoundInputs, _tau_psi, evaluate_bound
+from .nn import _labelled, init_model
 from .sigma_select import SigmaSearchConfig, select_sigma
 from .smoothing import ABSTAIN, NoiseConfig
 from .train import TrainConfig, ahead, train
@@ -183,17 +183,13 @@ def _load_dataset(cfg: dict) -> data.Dataset:
 
 
 def _load_model_and_data(cfg: dict):
-    """The dataset, its bias-augmented inputs and the checkpoint's model."""
+    """The dataset, its bias-augmented inputs and the checkpoint's model.
+
+    The whole set goes through ``_labelled``: ``bound --empirical-loss``
+    checks its labels nowhere else, and the margin loss sees only a subset."""
     ds = _load_dataset(cfg)
     model, _ = data.load_checkpoint(cfg["checkpoint"])
-    X = data.augment(ds.inputs)
-    if X.shape[1] != model.in_dim:
-        raise ValueError(
-            f"dataset dim {X.shape[1]} (bias-augmented) != model input dim {model.in_dim}")
-    if np.any(ds.labels >= model.out_dim):
-        raise ValueError(
-            f"dataset label {int(ds.labels.max())} is not a class of the model "
-            f"({model.out_dim} classes)")
+    X, _ = _labelled(model, data.augment(ds.inputs), ds.labels)
     return ds, X, model
 
 
@@ -314,10 +310,7 @@ def _cmd_bound(cfg: dict) -> None:
         per_layer_spectral=report.per_layer_spectral,
         per_layer_frobenius=report.per_layer_frobenius,
     )
-    psi_value = psi(inputs.gamma, inputs.B, tau_solve(inputs.d), inputs.n, inputs.h,
-                    inputs.per_layer_spectral)
-    if psi_value == 0.0:
-        raise ValueError("psi evaluated to 0; KL and bound are undefined")
+    _, psi_value = _tau_psi(inputs)
     if cfg["empirical_loss"] is not None:
         loss = cfg["empirical_loss"]
     else:

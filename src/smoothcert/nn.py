@@ -42,8 +42,11 @@ def _labelled(model: MlpModel, inputs, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"input dim {X.shape[1]} != model input dim {model.in_dim}")
     if not np.isfinite(X).all():
         raise ValueError("inputs have non-finite entries")
-    if y.min() < 0 or y.max() >= model.out_dim:
-        raise ValueError(f"labels must lie in [0, {model.out_dim}), the model's classes")
+    lo, hi = y.min(), y.max()
+    if lo < 0 or hi >= model.out_dim:
+        bad = hi if hi >= model.out_dim else lo
+        raise ValueError(f"label {bad} is not a class of the model: "
+                         f"labels must lie in [0, {model.out_dim})")
     return X, y
 
 

@@ -180,7 +180,7 @@ def _chunk_sampler(model, X, noise: NoiseConfig):
             np.maximum(Z, 0.0, out=Z)
             A = Z @ w.T
             if sw > 0.0:
-                _add_weight_noise(A, sw * np.linalg.norm(Z, axis=1), gens)
+                _add_weight_noise(A, sw * np.sqrt(np.square(Z).sum(axis=1)), gens)
             Z = A
         return Z
 

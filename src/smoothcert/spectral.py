@@ -64,17 +64,6 @@ def _row_cosines(m: Matrix) -> tuple[Matrix, np.ndarray, Matrix, np.ndarray]:
     return cos, norms, units, np.flatnonzero(zero)
 
 
-def correlation_matrix(m: Matrix) -> Matrix:
-    """Cosine similarities between the rows of ``m``.
-
-    Equals the Pearson correlation matrix of the outputs of the linear map
-    ``x -> m x`` when ``x`` carries spherical Gaussian noise.  All-zero rows
-    (whose output is constant, so correlation is undefined) get 1 on the
-    diagonal and 0 elsewhere; ``spectral_report`` lists their indices.
-    """
-    return _row_cosines(_as_f64(m))[0]
-
-
 def mean_abs_offdiag(m) -> float:
     """Mean absolute off-diagonal entry of a square matrix (0 below 2x2)."""
     c = np.asarray(m, dtype=np.float64)
@@ -93,7 +82,7 @@ def regularizer_and_gradient(model: MlpModel) -> tuple[float, tuple[Matrix, ...]
     chained through the absolute value (subgradient 0 at 0), the cosine
     normalization, the Gram matrix, and the layer product, using cached
     left/right partial products.  Zero rows are excluded from the gradient,
-    mirroring correlation_matrix's handling.
+    as ``spectral_report`` does.
     """
     n = model.n_layers
     rights: list[Matrix] = [None] * n  # type: ignore[list-item]

@@ -231,9 +231,3 @@ def ahead(fn: Callable, items: Iterable[tuple], threads: int) -> Iterator[Iterat
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
-
-def evaluate(model: MlpModel, inputs, labels) -> float:
-    """Plain argmax accuracy (ties to the lowest class index)."""
-    X, y = _labelled(model, inputs, labels)
-    logits, _ = forward_batch(model, X)
-    return float(np.mean(np.argmax(logits, axis=1) == y))

@@ -1,7 +1,7 @@
-"""Shared helpers: random models, loop-based reference forward pass, finite
-differences, a minimal IDX writer.  The reference implementations here stay
-deliberately dumb (python loops, no shortcuts) so they can serve as
-independent oracles."""
+"""Shared helpers: random models, argmax accuracy, loop-based reference
+forward pass, finite differences, a minimal IDX writer.  The reference
+implementations here stay deliberately dumb (python loops, no shortcuts) so
+they can serve as independent oracles."""
 
 import struct
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from smoothcert import data, rng
-from smoothcert.nn import MlpModel
+from smoothcert.nn import MlpModel, forward_batch
 
 
 def write_idx_pair(tmp_path, images, labels, rows, cols, stem="set"):
@@ -31,6 +31,11 @@ def rand_model(dims, seed=0, scale=1.0):
     for n_in, n_out in zip(dims[:-1], dims[1:]):
         layers.append(scale * g.standard_normal((n_out, n_in)) / np.sqrt(n_in))
     return MlpModel(layers=tuple(np.ascontiguousarray(L) for L in layers))
+
+
+def accuracy(model, X, y):
+    """Plain argmax accuracy (ties to the lowest class index)."""
+    return float(np.mean(np.argmax(forward_batch(model, X)[0], axis=1) == y))
 
 
 def loop_forward(model, x):

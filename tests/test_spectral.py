@@ -7,7 +7,6 @@ from smoothcert import rng
 from smoothcert.nn import MlpModel
 from smoothcert.spectral import (
     collapsed_weight,
-    correlation_matrix,
     gershgorin_bound,
     regularizer_and_gradient,
     spectral_norm,
@@ -20,6 +19,10 @@ from oracles import jacobi_eigs
 
 def model_of(*mats):
     return MlpModel(tuple(np.asarray(m, dtype=float) for m in mats))
+
+
+def cosines(model):
+    return np.asarray(spectral_report(model).cosine_matrix)
 
 
 # ------------------------------------------------------------ spectral_norm
@@ -110,12 +113,12 @@ def test_gershgorin_dominates_squared_spectral_fuzz():
 
 def test_correlation_orthogonal_rows_identity():
     m = np.array([[2.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
-    assert np.array_equal(correlation_matrix(m), np.eye(3))
+    assert np.array_equal(cosines(model_of(m)), np.eye(3))
 
 
 def test_correlation_hand_value():
     m = np.array([[1.0, 0.0], [1.0, 1.0]])
-    c = correlation_matrix(m)
+    c = cosines(model_of(m))
     assert c[0, 1] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
     assert c[1, 0] == c[0, 1]
     assert c[0, 0] == 1.0 and c[1, 1] == 1.0
@@ -124,28 +127,26 @@ def test_correlation_hand_value():
 def test_correlation_scale_invariance():
     g = rng.stream(15, 98)
     m = g.standard_normal((6, 9))
-    base = correlation_matrix(m)
+    base = cosines(model_of(m))
     # global positive rescale and independent positive row rescales
-    assert np.allclose(correlation_matrix(17.5 * m), base, atol=1e-15)
+    assert np.allclose(cosines(model_of(17.5 * m)), base, atol=1e-15)
     scales = g.uniform(0.1, 10.0, size=6)
-    assert np.allclose(correlation_matrix(m * scales[:, None]), base, atol=1e-13)
+    assert np.allclose(cosines(model_of(m * scales[:, None])), base, atol=1e-13)
 
 
 def test_correlation_bounds_and_symmetry():
     m = rng.stream(16, 98).standard_normal((8, 4))
-    c = correlation_matrix(m)
+    c = cosines(model_of(m))
     assert np.allclose(c, c.T, atol=0)
     assert np.all(c <= 1.0) and np.all(c >= -1.0)
     assert np.allclose(np.diag(c), 1.0, atol=0)
 
 
 def test_correlation_zero_row_handling():
-    m = np.array([[1.0, 1.0], [0.0, 0.0]])
-    c = correlation_matrix(m)
+    rep = spectral_report(model_of([[1.0, 1.0], [0.0, 0.0]]))
+    c = np.asarray(rep.cosine_matrix)
     assert c[1, 1] == 1.0 and c[0, 1] == 0.0 and c[1, 0] == 0.0
-    rep = spectral_report(model_of(m))
     assert rep.degenerate_rows == (1,)
-    assert np.array_equal(np.asarray(rep.cosine_matrix), c)
 
 
 # ------------------------------------------------------------ regularizer
@@ -156,7 +157,7 @@ def test_l11_hand_value_and_flatten_oracle():
     value, _ = regularizer_and_gradient(model_of([[1.0, 0.0], [-1.0, 1.0]]))
     assert value == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
     model = rand_model((7, 6, 5), seed=17)
-    c = correlation_matrix(collapsed_weight(model))
+    c = cosines(model)
     want = sum(abs(float(v)) for v in c.ravel())
     assert regularizer_and_gradient(model)[0] == pytest.approx(want, rel=1e-15)
 
