@@ -50,6 +50,19 @@ draws chunk ``c`` from ``rng.vote_stream((base_seed, PHASE_MARGIN, i), c)``.
 A generator's draws do not depend on the block, but BLAS picks its kernel
 by the product's size, so the logits of a many-row block can differ from a
 one-row block's by about 1e-15.
+
+Every vote product goes through ``_product``, which multiplies in equal row
+slices small enough that OpenBLAS keeps each dgemm on the calling thread
+(``_SERIAL_MNK``).  Its own threads would otherwise wake for each 1024-row
+product and compete for the cores with the threads that call the sampler:
+``cli``'s ``certify --workers`` and the margin loss.  ``empirical_margin_loss``
+maps its blocks over ``train.ahead`` with one thread per usable core (when
+a vote costs at least ``_THREAD_MIN_MACS`` multiply-adds; smaller models
+stay on the calling thread) and sums the blocks' integer miss counts, so
+its value does not depend on the thread count.  The calling thread builds
+each block's sampler (which checks the block and the model) and its
+generators, in example and chunk order; the worker threads only draw,
+multiply and score.
 """
 
 from __future__ import annotations
@@ -63,10 +76,31 @@ from scipy.special import betainc, betaincinv
 from . import rng
 from .bounds import vote_probability_gap
 from .nn import MlpModel, _labelled
+from .train import _usable_cores, ahead
 
 ABSTAIN = -1
 
 _CHUNK = 1024
+
+# Largest m * n * k of a vote product run as one dgemm.  OpenBLAS 0.3.31
+# (scipy-openblas, 2 Xeon cores) runs a dgemm on the calling thread below
+# m * n * k = 2^19 and on two threads from there on; a 1024-vote layer of
+# 33 -> 32 is 1024 * 33 * 32 = 1.08e6.  Half of that keeps a margin.
+_SERIAL_MNK = 1 << 18
+# Fewest rows in a slice.  A layer of more than _SERIAL_MNK / _MIN_SLICE_ROWS
+# = 2048 weights (64 x 64, say) is multiplied whole: 1024 rows of 64 x 64 in
+# 64-row slices took 1.4-1.8x the whole product's time at one BLAS thread.
+_MIN_SLICE_ROWS = 128
+# Fewest multiply-adds per vote (the model's weights) for which the margin
+# loss spreads its blocks over the cores.  A block of a smaller model is ~60
+# numpy calls of a few microseconds each, so the threads mostly hand the GIL
+# over, and whether that pays hangs on the other core being free.  At one
+# BLAS thread on 2 shared Xeon cores, two threads took, as a share of the
+# serial time (median, range), for 256 examples on 17->32^3->3 (2,688
+# weights) 0.74 (0.66-0.96) with the other core idle and 1.01 (0.91-1.37)
+# with a busy loop on it; for 1024 examples on 785->32^3->10 (27,488
+# weights) 0.73 (0.64-0.98) and 0.93 (0.84-1.11).
+_THREAD_MIN_MACS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -137,7 +171,8 @@ def _chunk_sampler(model, X, noise: NoiseConfig):
     weight noise needs ``||z||``.  Each generator fills its rows' slice of
     the block arrays in a fixed order (input normals, the chi-square, then
     each layer's weight noise in order), so identical generators reproduce
-    identical logits; the products, norms and ReLUs run once per block.
+    identical logits.  The products, norms and ReLUs run over the whole
+    block at once, the products in ``_product``'s row slices.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.in_dim:
@@ -167,24 +202,51 @@ def _chunk_sampler(model, X, noise: NoiseConfig):
             # the line, so `del Y` below frees the block
             np.add(Y.reshape(r, b, width), C[:, None, :], out=Y.reshape(r, b, width))
         else:
-            Y = np.broadcast_to(C[:, None, :], (r, b, width)).reshape(r * b, width)
-        Z = Y @ p.T
+            Y = np.repeat(C, b, axis=0)
+        # each block array is freed before the next one of its size is made:
+        # Y before layer 0's weight noise, Z before the next layer's
+        Z = _product(Y, p)
         if sw > 0.0:
-            sq = np.square(Y).sum(axis=1)
+            sq = np.square(Y, out=Y).sum(axis=1)
+        del Y
+        if sw > 0.0:
             if rest and si > 0.0:
                 for g, part in zip(gens, sq.reshape(r, b)):
                     part += si * si * g.chisquare(rest, b)
             _add_weight_noise(Z, sw * np.sqrt(sq), gens)
-        del Y
         for w in model.layers[1:]:
             np.maximum(Z, 0.0, out=Z)
-            A = Z @ w.T
             if sw > 0.0:
-                _add_weight_noise(A, sw * np.sqrt(np.square(Z).sum(axis=1)), gens)
-            Z = A
+                scale = sw * np.sqrt(np.square(Z).sum(axis=1))
+            Z = _product(Z, w)
+            if sw > 0.0:
+                _add_weight_noise(Z, scale, gens)
         return Z
 
     return draw
+
+
+def _product(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``A @ w.T``, multiplied in equal row slices of at most
+    ``_SERIAL_MNK // w.size`` rows, so that OpenBLAS runs each dgemm on the
+    calling thread rather than waking its own threads.
+
+    A product within the budget, or one whose layer is so wide that a slice
+    would hold fewer than ``_MIN_SLICE_ROWS`` rows, is multiplied whole.
+    The slices are equal (to a row) so that none is a sliver: OpenBLAS sends
+    products of a few rows to other kernels, which may round the last bit
+    differently.
+    """
+    m = A.shape[0]
+    rows = _SERIAL_MNK // w.size
+    if m <= rows or rows < _MIN_SLICE_ROWS:
+        return np.matmul(A, w.T)
+    out = np.empty((m, w.shape[0]))
+    slices = -(-m // rows)
+    cuts = [m * i // slices for i in range(slices + 1)]
+    for start, stop in zip(cuts, cuts[1:]):
+        np.matmul(A[start:stop], w.T, out=out[start:stop])
+    return out
 
 
 def _normals(shape, gens) -> np.ndarray:
@@ -321,7 +383,9 @@ def empirical_margin_loss(
     block are scored together and split per example by a reshape;
     otherwise each block is one chunk of one example.  The block's products
     may round differently from one example's, by about 1e-15 (see the
-    module docstring).
+    module docstring).  The blocks run on one thread per usable core when
+    the model has at least ``_THREAD_MIN_MACS`` weights, and the result
+    does not depend on how many threads there are.
     """
     X, y = _labelled(model, inputs, labels)
     if gamma < 0.0 or not np.isfinite(gamma):
@@ -332,15 +396,19 @@ def empirical_margin_loss(
     chunks = _chunks(num)
     per_block = max(1, _CHUNK // num)
     cols = np.arange(k)
-    wrong = 0
-    for start in range(0, X.shape[0], per_block):
-        stop = min(start + per_block, X.shape[0])
-        ys = y[start:stop]
-        draw = _chunk_sampler(model, X[start:stop], noise)
-        keys = [(noise.base_seed, rng.PHASE_MARGIN, i) for i in range(start, stop)]
-        counts = np.zeros((stop - start, k), dtype=np.int64)
-        for c, b in chunks:
-            Z = draw(b, [rng.vote_stream(key, c) for key in keys])
+
+    def blocks():
+        for start in range(0, X.shape[0], per_block):
+            stop = min(start + per_block, X.shape[0])
+            draw = _chunk_sampler(model, X[start:stop], noise)
+            keys = [(noise.base_seed, rng.PHASE_MARGIN, i) for i in range(start, stop)]
+            yield y[start:stop], draw, [(b, [rng.vote_stream(key, c) for key in keys])
+                                        for c, b in chunks]
+
+    def misses(ys, draw, chunk_gens) -> int:
+        counts = np.zeros((ys.shape[0], k), dtype=np.int64)
+        for b, gens in chunk_gens:
+            Z = draw(b, gens)
             part = np.partition(Z, -2, axis=1)
             top, second = part[:, -1], part[:, -2]
             am = np.argmax(Z, axis=1)
@@ -348,8 +416,13 @@ def empirical_margin_loss(
             ind = Z + gamma > max_others
             votes, label = np.arange(Z.shape[0]), np.repeat(ys, b)
             ind[votes, label] = Z[votes, label] > max_others[votes, label] + gamma
-            counts += ind.reshape(stop - start, b, k).sum(axis=1)
-        wrong += int(np.count_nonzero(np.argmax(counts, axis=1) != ys))
+            counts += ind.reshape(ys.shape[0], b, k).sum(axis=1)
+        return int(np.count_nonzero(np.argmax(counts, axis=1) != ys))
+
+    macs = sum(w.size for w in model.layers)
+    threads = _usable_cores() if macs >= _THREAD_MIN_MACS else 1
+    with ahead(misses, blocks(), threads) as results:
+        wrong = sum(results)
     return wrong / X.shape[0]
 
 

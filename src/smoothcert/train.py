@@ -23,8 +23,10 @@ order and the arithmetic are those of a serial loop, so the weights are
 bit-identical to it.  Small batches stay in that serial loop: see
 ``_AHEAD_MIN_VALUES``.
 
-``ahead`` is that ordered, bounded map.  It has two callers: ``train`` and
-``cli``'s ``certify --workers``, which maps its samples through it.
+``ahead`` is that ordered, bounded map.  It has three callers: ``train``;
+``cli``'s ``certify --workers``, which maps its samples through it; and
+``smoothing.empirical_margin_loss``, which maps its vote blocks through it
+with ``_usable_cores()`` threads when the model has enough weights.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from scipy.linalg import null_space
 from scipy.special import betainc
 from scipy.stats import norm
 
-from smoothcert import rng
+from smoothcert import rng, smoothing
 from smoothcert.nn import MlpModel, forward_batch
 from smoothcert.smoothing import (
     _CHUNK,
+    _MIN_SLICE_ROWS,
+    _SERIAL_MNK,
     ABSTAIN,
     _chunk_sampler,
+    _product,
     NoiseConfig,
     VoteCounts,
     certified_accuracy_curve,
@@ -96,6 +100,53 @@ def test_block_rows_draw_as_one_row_blocks(dims):
     for j, key in enumerate(keys):
         row = _chunk_sampler(model, X[j:j + 1], noise)(b, [rng.vote_stream(key, 0)])
         assert np.allclose(block[j * b:(j + 1) * b], row, rtol=1e-12, atol=1e-12)
+
+
+def _record_matmuls(monkeypatch):
+    shapes = []
+    matmul = np.matmul
+
+    def spy(a, b, **kw):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return shapes
+
+
+def test_product_under_the_budget_is_the_whole_product(monkeypatch):
+    g = rng.stream(26, 98)
+    A, w = g.standard_normal((200, 33)), g.standard_normal((32, 33))
+    assert A.shape[0] * w.size <= _SERIAL_MNK
+    want = A @ w.T
+    shapes = _record_matmuls(monkeypatch)
+    assert np.array_equal(_product(A, w), want)
+    assert shapes == [((200, 33), (33, 32))]
+
+
+@pytest.mark.parametrize("m, width", [(1024, 33), (1000, 32), (800, 32), (5000, 17)])
+def test_product_over_the_budget_runs_in_equal_slices_under_it(monkeypatch, m, width):
+    g = rng.stream(27, 98)
+    A, w = g.standard_normal((m, width)), g.standard_normal((32, width))
+    assert m * w.size > _SERIAL_MNK
+    want = A @ w.T
+    shapes = _record_matmuls(monkeypatch)
+    got = _product(A, w)
+    rows = [a[0] for a, _ in shapes]
+    assert len(rows) > 1 and sum(rows) == m
+    assert max(rows) - min(rows) <= 1
+    assert all(r * w.size <= _SERIAL_MNK for r in rows)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_product_of_a_too_wide_layer_is_one_whole_call(monkeypatch):
+    g = rng.stream(28, 98)
+    A, w = g.standard_normal((1024, 512)), g.standard_normal((512, 512))
+    assert _SERIAL_MNK // w.size < _MIN_SLICE_ROWS
+    want = A @ w.T
+    shapes = _record_matmuls(monkeypatch)
+    assert np.array_equal(_product(A, w), want)
+    assert shapes == [((1024, 512), (512, 512))]
 
 
 def test_symmetric_input_splits_votes_in_binomial_band():
@@ -432,6 +483,72 @@ def test_batched_margin_loss_equals_per_example_loop(dims, num, m):
             assert got == reference_margin_loss(model, X, y, gamma, noise, num), (sw, gamma)
             losses.append(got)
     assert len(set(losses)) > 1  # the cases tell the noise levels and margins apart
+
+
+@pytest.mark.parametrize("dims", [(12, 3, 3), (4, 6, 3)])  # row-space, and h >= d
+@pytest.mark.parametrize("num, m", [(7, 300), (200, 13), (_CHUNK, 4), (2 * _CHUNK + 1, 3)])
+def test_margin_loss_does_not_depend_on_the_thread_count(monkeypatch, dims, num, m):
+    # the blocks' integer miss counts are summed, so spreading the blocks
+    # over any number of threads gives the same float
+    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)  # thread these small models
+    model = rand_model(dims, seed=9)
+    g = rng.stream(29, 98)
+    X = g.standard_normal((m, dims[0]))
+    y = np.argmax(forward_batch(model, X)[0], axis=1)
+    y[::3] = (y[::3] + 1) % 3
+    for sw in (0.4, 0.0):
+        noise = NoiseConfig(sigma_input=0.6, sigma_weight=sw, base_seed=6)
+        for gamma in (0.0, 0.3):
+            losses = set()
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(smoothing, "_usable_cores", lambda: threads)
+                losses.add(empirical_margin_loss(model, X, y, gamma, noise, num))
+            assert len(losses) == 1, (sw, gamma, losses)
+
+
+def test_margin_loss_joins_its_threads_also_when_a_block_raises(monkeypatch):
+    model, X, y = margin_fixture()
+    noise = NoiseConfig(sigma_input=0.3, sigma_weight=0.2)
+    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
+    start = threading.active_count()
+    empirical_margin_loss(model, X, y, 0.1, noise, num=200)
+    assert threading.active_count() == start
+
+    calls = []
+    product = smoothing._product
+
+    def failing_product(A, w):
+        calls.append(threading.get_ident())
+        if len(calls) == 5:
+            raise RuntimeError("block failed")
+        return product(A, w)
+
+    monkeypatch.setattr(smoothing, "_product", failing_product)
+    with pytest.raises(RuntimeError, match="block failed"):
+        empirical_margin_loss(model, X, y, 0.1, noise, num=200)
+    assert threading.get_ident() not in calls  # the blocks ran on the workers
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("hidden, threaded", [(8, False), (96, True)])
+def test_margin_loss_threads_only_models_of_many_weights(monkeypatch, hidden, threaded):
+    # 12 -> 8 -> 8 -> 3 has 184 weights, 12 -> 96 -> 96 -> 3 has 10,656
+    model = rand_model((12, hidden, hidden, 3), seed=3)
+    X = rng.stream(24, 98).standard_normal((30, 12))
+    y = np.argmax(forward_batch(model, X)[0], axis=1)
+    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
+    calls = []
+    product = smoothing._product
+
+    def recording_product(A, w):
+        calls.append(threading.get_ident())
+        return product(A, w)
+
+    monkeypatch.setattr(smoothing, "_product", recording_product)
+    empirical_margin_loss(model, X, y, 0.1, NoiseConfig(sigma_input=0.3), num=200)
+    assert calls
+    assert (threading.get_ident() not in calls) == threaded
 
 
 def test_margin_loss_rejects_non_finite_weights_before_any_vote(monkeypatch):
