@@ -43,10 +43,16 @@ The sampler draws a block of inputs at once: ``b`` votes for each row, row
 ``j``'s from its own generator, stacked in row order, with the products,
 norms and ReLUs run once over the whole block.  ``certify`` and
 ``sample_under_noise`` pass a block of one input, one chunk at a time.
-``empirical_margin_loss`` packs ``_CHUNK // num`` examples into a block
-when ``num <= _CHUNK`` (at most ``_CHUNK`` votes in all, so a block takes
-one chunk's memory), and one example's chunk otherwise; example ``i`` always
-draws chunk ``c`` from ``rng.vote_stream((base_seed, PHASE_MARGIN, i), c)``.
+``empirical_margin_loss`` packs ``max(1, _MARGIN_BLOCK // num)`` examples
+into a block (20 at 200 votes), and draws the block chunk by chunk: chunk
+``c`` of every example in the block at once, so a draw holds at most
+``_MARGIN_BLOCK`` = 4 chunks' votes.  Four chunks rather than one make
+a block's ~60 short numpy calls, each of which may hand the GIL to another
+thread, a quarter as many per vote; the price is memory: a serial call on
+785->32^3->10 peaks at 2.1 MB of arrays with 4,000-vote blocks, against
+0.58 MB with 1,000-vote blocks, and each thread runs one block.  Example
+``i`` always draws chunk ``c`` from
+``rng.vote_stream((base_seed, PHASE_MARGIN, i), c)``.
 A generator's draws do not depend on the block, but BLAS picks its kernel
 by the product's size, so the logits of a many-row block can differ from a
 one-row block's by about 1e-15.
@@ -81,6 +87,14 @@ from .train import _usable_cores, ahead
 ABSTAIN = -1
 
 _CHUNK = 1024
+# Most votes in one of the margin loss's blocks: 4 chunks' worth, so that a
+# block's ~60 numpy calls, each of which may hand the GIL to the other
+# thread, are shared by 20 examples at 200 votes instead of 5.  On 2 Xeon
+# cores at one BLAS thread, 1024 digits examples x 200 votes took 7,600-8,000
+# voluntary context switches per threaded call in 1,000-vote blocks and
+# 2,800-2,900 in 4,000-vote ones; 8,000-vote blocks were a little faster
+# still, at twice the memory (see the module docstring).
+_MARGIN_BLOCK = 4 * _CHUNK
 
 # Largest m * n * k of a vote product run as one dgemm.  OpenBLAS 0.3.31
 # (scipy-openblas, 2 Xeon cores) runs a dgemm on the calling thread below
@@ -378,10 +392,15 @@ def empirical_margin_loss(
     Example ``i``'s chunk ``c`` of ``num`` votes draws from
     ``rng.vote_stream((noise.base_seed, PHASE_MARGIN, i), c)``, in the
     order input normals, the chi-square, then each layer's weight noise.
-    When ``num <= _CHUNK`` the examples go through the sampler in blocks of
-    ``_CHUNK // num`` (the last block may hold fewer), and the votes of a
-    block are scored together and split per example by a reshape;
-    otherwise each block is one chunk of one example.  The block's products
+    The examples go through the sampler in blocks of
+    ``max(1, _MARGIN_BLOCK // num)`` (the last block may hold fewer); a
+    block draws chunk ``c`` of all its examples at once, and those votes
+    are scored together and split per example by a reshape.  A draw thus
+    holds at most ``_MARGIN_BLOCK`` votes, so that each block's short numpy
+    calls, and the GIL hand-overs between threads that come with them, are
+    shared by up to 4 chunks' votes; a running 4,000-vote block on
+    785->32^3->10 peaks at about 2.1 MB of arrays, against 0.58 MB for a
+    1,000-vote one.  The block's products
     may round differently from one example's, by about 1e-15 (see the
     module docstring).  The blocks run on one thread per usable core when
     the model has at least ``_THREAD_MIN_MACS`` weights, and the result
@@ -394,16 +413,16 @@ def empirical_margin_loss(
     if k == 1:
         return 0.0
     chunks = _chunks(num)
-    per_block = max(1, _CHUNK // num)
+    per_block = max(1, _MARGIN_BLOCK // num)
     cols = np.arange(k)
 
     def blocks():
         for start in range(0, X.shape[0], per_block):
             stop = min(start + per_block, X.shape[0])
             draw = _chunk_sampler(model, X[start:stop], noise)
-            keys = [(noise.base_seed, rng.PHASE_MARGIN, i) for i in range(start, stop)]
-            yield y[start:stop], draw, [(b, [rng.vote_stream(key, c) for key in keys])
-                                        for c, b in chunks]
+            gens = [[rng.vote_stream((noise.base_seed, rng.PHASE_MARGIN, i), c) for c, _ in chunks]
+                    for i in range(start, stop)]
+            yield y[start:stop], draw, [(b, list(col)) for (_, b), col in zip(chunks, zip(*gens))]
 
     def misses(ys, draw, chunk_gens) -> int:
         counts = np.zeros((ys.shape[0], k), dtype=np.int64)

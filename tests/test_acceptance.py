@@ -27,7 +27,7 @@ from smoothcert import bounds, cli, data, nn, smoothing, spectral
 from smoothcert.nn import MlpModel, init_model
 from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
 from smoothcert.smoothing import NoiseConfig, certify
-from smoothcert.train import TrainConfig, train
+from smoothcert.train import TrainConfig, _usable_cores, ahead, train
 
 mp.mp.dps = 40
 
@@ -304,9 +304,17 @@ def test_criterion_6_certified_curve_dominance(criterion):
                     f"alpha={alpha}: no weight-noise grid point qualified")
             noise = NoiseConfig(sigma_input=math.sqrt(0.12),
                                 sigma_weight=math.sqrt(sel.sigma2), base_seed=0)
-            results = [certify(model, Xte[i], noise, n_selection=100,
+            # per-sample keys make the results independent of the threads;
+            # the row basis is computed here, once: from Python 3.12 a
+            # cached_property takes no lock
+            model.row_basis
+
+            def certify_one(i):
+                return certify(model, Xte[i], noise, n_selection=100,
                                n_estimation=10_000, alpha=0.001, sample_index=i)
-                       for i in range(te.m)]
+
+            with ahead(certify_one, zip(range(te.m)), _usable_cores()) as mapped:
+                results = list(mapped)
             curves[alpha] = smoothing.certified_accuracy_curve(
                 [r.predicted for r in results], [r.radius for r in results], te.labels, radii)
         a0, a1 = curves[0.0], curves[0.1]

@@ -151,10 +151,11 @@ def test_no_two_consumers_share_a_stream_key(monkeypatch):
     assert {k[1] for k in keys} == phases
 
 
-@pytest.mark.parametrize("num", [7, 200, smoothing._CHUNK, 2 * smoothing._CHUNK + 1])
+@pytest.mark.parametrize("num", [7, 200, smoothing._CHUNK, 1500, 2 * smoothing._CHUNK + 1])
 def test_margin_loss_keys_one_stream_per_example_and_chunk_in_order(monkeypatch, num):
-    # many examples share a block when num <= _CHUNK, yet example i still
-    # draws chunk c from its own key, and the keys come in example order
+    # many examples share a block when num <= _MARGIN_BLOCK // 2, yet
+    # example i still draws chunk c from its own key, and the keys come in
+    # example order, each example's chunks in order
     model = nn.init_model((5, 4, 3), seed=0)
     m = 11
     X = rng.stream(0, 99).standard_normal((m, 5))

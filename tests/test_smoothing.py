@@ -439,10 +439,11 @@ def test_margin_loss_huge_gamma_fails_everything():
     assert empirical_margin_loss(model, X, y, 1e9, NO_NOISE, num=4) == 1.0
 
 
-def reference_margin_loss(model, X, y, gamma, noise, num):
+def reference_margin_loss(model, X, y, gamma, noise, num, logits=None):
     # one example at a time: each example's logits come from a one-row block
     # under its own key, and each class's vote is scored against the largest
-    # of the other logits
+    # of the other logits; `logits`, if given, collects example i's chunks
+    # under key i
     k = model.out_dim
     others = ~np.eye(k, dtype=bool)
     wrong = 0
@@ -452,6 +453,8 @@ def reference_margin_loss(model, X, y, gamma, noise, num):
         counts = np.zeros(k, dtype=np.int64)
         for c, start in enumerate(range(0, num, _CHUNK)):
             Z = draw(min(_CHUNK, num - start), [rng.vote_stream(key, c)])
+            if logits is not None:
+                logits.setdefault(i, []).append(Z)
             for j in range(k):
                 best_other = np.max(Z[:, others[j]], axis=1)
                 if j == y[i]:
@@ -464,29 +467,65 @@ def reference_margin_loss(model, X, y, gamma, noise, num):
 
 @pytest.mark.parametrize("dims", [(12, 3, 3), (4, 6, 3)])  # row-space, and h >= d
 @pytest.mark.parametrize("num, m", [
-    (7, 150),            # blocks of 146 examples, the last one holds 4
-    (200, 13),           # blocks of 5, the last one holds 3
-    (_CHUNK, 4),         # one example per block
+    (7, 150),            # one block of all 150 examples (585 would fit)
+    (200, 13),           # one block of 13 examples, 2600 votes
+    (_CHUNK, 4),         # one block of 4 examples, one chunk each
     (2 * _CHUNK + 1, 3),  # one example per block, three chunks each
+    (200, 45),           # blocks of 20 examples, 4000 votes; the last holds 5
+    (1500, 5),           # blocks of 2 examples, two chunks each; the last holds 1
 ])
-def test_batched_margin_loss_equals_per_example_loop(dims, num, m):
+def test_batched_margin_loss_equals_per_example_loop(monkeypatch, dims, num, m):
     model = rand_model(dims, seed=7)
     g = rng.stream(23, 98)
     X = g.standard_normal((m, dims[0]))
     y = np.argmax(forward_batch(model, X)[0], axis=1)
     y[::3] = (y[::3] + 1) % 3
+    # a majority vote seldom turns when votes are drawn from another
+    # example's key, so each example's block logits are checked too: the
+    # samplers the loss builds record them, the example found by its row
+    rows = {x.tobytes(): i for i, x in enumerate(X)}
+    got_logits = {}
+    sampler = smoothing._chunk_sampler
+
+    def recording_sampler(model, block, noise):
+        draw, index = sampler(model, block, noise), [rows[x.tobytes()] for x in block]
+
+        def recording_draw(b, gens):
+            Z = draw(b, gens)
+            for i, z in zip(index, Z.reshape(len(index), b, -1)):
+                got_logits.setdefault(i, []).append(z.copy())
+            return Z
+        return recording_draw
+
+    monkeypatch.setattr(smoothing, "_chunk_sampler", recording_sampler)
     losses = []
     for sw in (0.4, 0.0):
         noise = NoiseConfig(sigma_input=0.6, sigma_weight=sw, base_seed=5)
         for gamma in (0.0, 0.3):
+            got_logits.clear()
+            want_logits = {}
             got = empirical_margin_loss(model, X, y, gamma, noise, num)
-            assert got == reference_margin_loss(model, X, y, gamma, noise, num), (sw, gamma)
+            want = reference_margin_loss(model, X, y, gamma, noise, num, want_logits)
+            assert got == want, (sw, gamma)
+            assert got_logits.keys() == want_logits.keys()
+            for i, chunks in want_logits.items():
+                assert len(got_logits[i]) == len(chunks), i
+                for a, b in zip(got_logits[i], chunks):
+                    # a many-row block may round differently (module docstring)
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
             losses.append(got)
     assert len(set(losses)) > 1  # the cases tell the noise levels and margins apart
 
 
 @pytest.mark.parametrize("dims", [(12, 3, 3), (4, 6, 3)])  # row-space, and h >= d
-@pytest.mark.parametrize("num, m", [(7, 300), (200, 13), (_CHUNK, 4), (2 * _CHUNK + 1, 3)])
+@pytest.mark.parametrize("num, m", [
+    (7, 300),            # one block of all 300 examples (585 would fit)
+    (200, 13),           # one block of 13 examples, 2600 votes
+    (_CHUNK, 4),         # one block of 4 examples, one chunk each
+    (2 * _CHUNK + 1, 3),  # three blocks of one example, three chunks each
+    (200, 45),           # three blocks of 20, 20 and 5 examples
+    (1500, 5),           # three blocks of 2, 2 and 1 examples, two chunks each
+])
 def test_margin_loss_does_not_depend_on_the_thread_count(monkeypatch, dims, num, m):
     # the blocks' integer miss counts are summed, so spreading the blocks
     # over any number of threads gives the same float
@@ -520,7 +559,7 @@ def test_margin_loss_joins_its_threads_also_when_a_block_raises(monkeypatch):
 
     def failing_product(A, w):
         calls.append(threading.get_ident())
-        if len(calls) == 5:
+        if len(calls) == 3:  # of the four products in the fixture's two blocks
             raise RuntimeError("block failed")
         return product(A, w)
 
