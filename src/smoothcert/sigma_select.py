@@ -11,16 +11,29 @@ Perturbation ``j`` of grid point ``gi`` draws from
 ``stream(base_seed, PHASE_SIGMA, gi, j)``, layer by layer in order, as
 ``w + sqrt(sigma2) * standard_normal(w.shape)``.  When the first layer has
 fewer rows ``h0`` than inputs ``d``, its product dominates a perturbation's
-work, so the perturbations are evaluated in blocks of
-``max(1, _BLOCK_COLS // h0)``: the first layers of a block are stacked and
-applied to the evaluation set in one product, whose columns each
-perturbation then finishes on its own.  One wide product runs at about
-twice the rate of ``h0``-column ones, and ``_BLOCK_COLS`` caps its extra
-memory at ``m * _BLOCK_COLS`` floats for ``m`` evaluation examples.  When
-``h0 >= d`` (the same shape test as ``MlpModel.row_basis``) the first
-product is no larger than the later ones and the wide result only spills
-the cache, so each block is one perturbation.  Blocking changes neither the
-draws nor the arithmetic of any output column.
+work, so the perturbations are evaluated in blocks: the first layers of a
+block are stacked and applied to the evaluation set in one product, whose
+columns each perturbation then finishes on its own.  One wide product runs
+at about twice the rate of ``h0``-column ones.  The ``n_samples``
+perturbations are cut into the fewest equal blocks (sizes differ by at
+most one) of at most ``_BLOCK_COLS // h0`` perturbations, with a block
+count that is a multiple of the usable cores, and the blocks run on one
+thread per core through ``train.ahead``: 50 perturbations of a 32-row
+first layer make 4 blocks of 12 or 13 on two cores, so that no core idles
+on a short last block.  A running block holds its stacked first layers and
+their product, at most ``(d + m) * _BLOCK_COLS`` floats for ``m``
+evaluation examples (about 11 MB on 2000 x 785 digits), one block per
+thread.  The threads pay at one BLAS thread; at OpenBLAS's default thread
+count BLAS already runs each wide product on every core.  When ``h0 >= d``
+(the same shape test as ``MlpModel.row_basis``) the first product is no
+larger than the later ones and the wide result only spills the cache, so
+each block is one perturbation and the blocks run on the calling thread.
+
+The calling thread makes every block's generators, in draw order, so every
+``rng`` call stays on it, as in ``train`` and the margin loss; a block
+draws each perturbation's first layer in place in its stacked array and
+returns its accuracies in draw order.  Neither the blocking nor the thread
+count changes the draws or the arithmetic of any output column.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ import numpy as np
 
 from . import rng
 from .nn import MlpModel, _labelled, forward_batch
+from .train import _usable_cores, ahead
 
 _DROP_EPS = 1e-12
 _BLOCK_COLS = 512
@@ -112,22 +126,43 @@ def _perturbed_accuracies(model: MlpModel, X: np.ndarray, y: np.ndarray, sig: fl
                           gi: int, cfg: SigmaSearchConfig) -> np.ndarray:
     """Plain accuracy of each of grid point ``gi``'s ``n_samples`` perturbed
     models, in draw order (see the module docstring)."""
+    h0, d = model.layers[0].shape
+    n = cfg.n_samples
+    stacked = h0 < d
+    threads = min(_usable_cores(), n) if stacked else 1
+    per_block = max(1, _BLOCK_COLS // h0) if stacked else 1
+    blocks = -(-n // per_block)
+    blocks = -(-blocks // threads) * threads
+    cuts = [n * i // blocks for i in range(blocks + 1)]
+
+    def items():
+        for start, stop in zip(cuts, cuts[1:]):
+            yield model, X, y, sig, [rng.stream(cfg.base_seed, rng.PHASE_SIGMA, gi, j)
+                                     for j in range(start, stop)]
+
+    with ahead(_block_accuracies, items(), threads) as results:
+        return np.concatenate(list(results))
+
+
+def _block_accuracies(model: MlpModel, X: np.ndarray, y: np.ndarray, sig: float,
+                      gens: list) -> np.ndarray:
+    """Accuracies of one block's perturbations, one per generator in
+    ``gens``: their first layers stacked into one product with ``X``."""
     w0, rest = model.layers[0], model.layers[1:]
     h0 = w0.shape[0]
-    per_block = max(1, _BLOCK_COLS // h0) if h0 < w0.shape[1] else 1
-    accs = np.empty(cfg.n_samples)
-    for start in range(0, cfg.n_samples, per_block):
-        js = range(start, min(start + per_block, cfg.n_samples))
-        firsts = np.empty((len(js) * h0, w0.shape[1]))
-        rests = []
-        for b, j in enumerate(js):
-            g = rng.stream(cfg.base_seed, rng.PHASE_SIGMA, gi, j)
-            firsts[b * h0:(b + 1) * h0] = w0 + sig * g.standard_normal(w0.shape)
-            rests.append([w + sig * g.standard_normal(w.shape) for w in rest])
-        A = X @ firsts.T
-        for b, j in enumerate(js):
-            Z = A[:, b * h0:(b + 1) * h0]
-            for w in rests[b]:
-                Z = np.maximum(Z, 0.0) @ w.T
-            accs[j] = np.mean(np.argmax(Z, axis=1) == y)
+    firsts = np.empty((len(gens) * h0, w0.shape[1]))
+    rests = []
+    for b, g in enumerate(gens):
+        rows = firsts[b * h0:(b + 1) * h0]
+        g.standard_normal(out=rows)
+        rows *= sig
+        rows += w0
+        rests.append([w + sig * g.standard_normal(w.shape) for w in rest])
+    A = X @ firsts.T
+    accs = np.empty(len(gens))
+    for b, ws in enumerate(rests):
+        Z = A[:, b * h0:(b + 1) * h0]
+        for w in ws:
+            Z = np.maximum(Z, 0.0) @ w.T
+        accs[b] = np.mean(np.argmax(Z, axis=1) == y)
     return accs

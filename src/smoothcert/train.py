@@ -23,10 +23,12 @@ order and the arithmetic are those of a serial loop, so the weights are
 bit-identical to it.  Small batches stay in that serial loop: see
 ``_AHEAD_MIN_VALUES``.
 
-``ahead`` is that ordered, bounded map.  It has three callers: ``train``;
-``cli``'s ``certify --workers``, which maps its samples through it; and
+``ahead`` is that ordered, bounded map.  It has four callers: ``train``;
+``cli``'s ``certify --workers``, which maps its samples through it;
 ``smoothing.empirical_margin_loss``, which maps its vote blocks through it
-with ``_usable_cores()`` threads when the model has enough weights.
+with ``_usable_cores()`` threads when the model has enough weights; and
+``sigma_select.select_sigma``, which maps its perturbation blocks through it
+with ``_usable_cores()`` threads when their first layers are stacked.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from smoothcert import data, rng
+from smoothcert import data, rng, sigma_select
 from smoothcert.nn import MlpModel, init_model
 from smoothcert.sigma_select import SigmaSearchConfig, SigmaSearchResult, select_sigma
 from smoothcert.train import TrainConfig, train
@@ -143,12 +144,15 @@ def per_model_trace(model, X, y, cfg):
     return tuple(trace)
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("dims, n_samples", [
-    ((11, 3), 400),          # one layer: blocks of 170, 170 and 60
-    ((150, 100, 7, 3), 12),  # 100 does not divide 512: blocks of 5, 5 and 2
+    ((11, 3), 400),          # one layer, at most 170 a block: 3, 4 or 3 blocks
+    ((150, 100, 7, 3), 12),  # 100 does not divide 512, at most 5 a block: 3, 4 or 3
     ((11, 16, 3), 5),        # h0 >= d: one perturbation per block
 ])
-def test_block_evaluation_matches_per_model_loop(dims, n_samples):
+def test_block_evaluation_matches_per_model_loop(monkeypatch, dims, n_samples, cores):
+    # the sample counts divide neither the block size nor the core count
+    monkeypatch.setattr(sigma_select, "_usable_cores", lambda: cores)
     ds = data.synth_blobs(3, dims[0] - 1, 300, spread=0.3, seed=5)
     X, y = data.augment(ds.inputs), ds.labels
     model, _ = train(init_model(dims, seed=1), X, y, TrainConfig(
@@ -161,3 +165,51 @@ def test_block_evaluation_matches_per_model_loop(dims, n_samples):
     assert res.trace == per_model_trace(model, X, y, cfg)
     assert len(res.trace) == 3
     assert res.base_accuracy == accuracy(model, X[:250], y[:250])
+
+
+def recording_blocks(monkeypatch, fail_at=None):
+    """Patch the block scorer to record each call's thread and block size,
+    raising on call ``fail_at``."""
+    calls = []
+    score = sigma_select._block_accuracies
+
+    def recording(model, X, y, sig, gens):
+        calls.append((threading.get_ident(), len(gens)))
+        if len(calls) == fail_at:
+            raise RuntimeError("block failed")
+        return score(model, X, y, sig, gens)
+
+    monkeypatch.setattr(sigma_select, "_block_accuracies", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dims, cores, sizes, threaded", [
+    ((40, 32, 3), 2, [12, 13, 12, 13], True),   # at most 16 a block: 4 equal blocks
+    ((40, 32, 3), 3, [8, 8, 9, 8, 8, 9], True),
+    ((40, 32, 3), 1, [12, 13, 12, 13], False),
+    ((11, 16, 3), 2, [1] * 50, False),          # h0 >= d: one per block, on the calling thread
+])
+def test_perturbations_run_in_equal_blocks_per_core(monkeypatch, dims, cores, sizes, threaded):
+    model = init_model(dims, seed=4)
+    X = rng.stream(19, 1).standard_normal((60, dims[0]))
+    y = np.arange(60) % 3
+    monkeypatch.setattr(sigma_select, "_usable_cores", lambda: cores)
+    calls = recording_blocks(monkeypatch)
+    start = threading.active_count()
+    select_sigma(model, X, y, SigmaSearchConfig(grid_start=0.01, grid_stop=0.01, n_samples=50))
+    assert [n for _, n in calls] == sizes
+    assert (threading.get_ident() not in {t for t, _ in calls}) == threaded
+    assert threading.active_count() == start
+
+
+def test_sigma_search_joins_its_threads_also_when_a_block_raises(monkeypatch):
+    model = init_model((40, 32, 3), seed=4)
+    X = rng.stream(19, 1).standard_normal((60, 40))
+    y = np.zeros(60, dtype=int)
+    monkeypatch.setattr(sigma_select, "_usable_cores", lambda: 2)
+    calls = recording_blocks(monkeypatch, fail_at=3)
+    start = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        select_sigma(model, X, y, SigmaSearchConfig(n_samples=50))
+    assert threading.get_ident() not in {t for t, _ in calls}  # the blocks ran on the workers
+    assert threading.active_count() == start
