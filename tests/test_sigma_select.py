@@ -144,15 +144,12 @@ def per_model_trace(model, X, y, cfg):
     return tuple(trace)
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("dims, n_samples", [
-    ((11, 3), 400),          # one layer, at most 170 a block: 3, 4 or 3 blocks
+    ((11, 3), 400),          # one layer, at most 170 a block: 3, 4 or 3 blocks on 1-3 cores
     ((150, 100, 7, 3), 12),  # 100 does not divide 512, at most 5 a block: 3, 4 or 3
     ((11, 16, 3), 5),        # h0 >= d: one perturbation per block
 ])
-def test_block_evaluation_matches_per_model_loop(monkeypatch, dims, n_samples, cores):
-    # the sample counts divide neither the block size nor the core count
-    monkeypatch.setattr(sigma_select, "_usable_cores", lambda: cores)
+def test_block_evaluation_matches_per_model_loop(monkeypatch, dims, n_samples):
     ds = data.synth_blobs(3, dims[0] - 1, 300, spread=0.3, seed=5)
     X, y = data.augment(ds.inputs), ds.labels
     model, _ = train(init_model(dims, seed=1), X, y, TrainConfig(
@@ -161,10 +158,14 @@ def test_block_evaluation_matches_per_model_loop(monkeypatch, dims, n_samples, c
     cfg = SigmaSearchConfig(grid_start=0.02, grid_stop=0.3, grid_step=0.14,
                             n_samples=n_samples, tolerance=1.0, eval_subset=250,
                             full_scan=True, base_seed=2)
-    res = select_sigma(model, X, y, cfg)
-    assert res.trace == per_model_trace(model, X, y, cfg)
-    assert len(res.trace) == 3
-    assert res.base_accuracy == accuracy(model, X[:250], y[:250])
+    expected = per_model_trace(model, X, y, cfg)
+    # the sample counts divide neither the block size nor the core count
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(sigma_select, "_usable_cores", lambda: cores)
+        res = select_sigma(model, X, y, cfg)
+        assert res.trace == expected
+        assert len(res.trace) == 3
+        assert res.base_accuracy == accuracy(model, X[:250], y[:250])
 
 
 def recording_blocks(monkeypatch, fail_at=None):
