@@ -11,9 +11,10 @@ are byte-reproducible for identical resolved configurations, except the
 wall-time ``seconds`` column of ``metrics.csv``.
 
 ``certify --workers N`` runs the per-sample certify calls on N threads
-through ``train.ahead``, whose other caller is the trainer.  Results come
-back in sample order, so the outputs do not depend on N; with N = 1 every
-call runs on the calling thread.
+through ``train.ahead``.  Results come back in sample order, so the outputs
+do not depend on N.  With N = 1 every call runs on the calling thread, and
+a call on a model of many weights spreads its own vote chunks over the
+cores; with N > 1 each call's chunks run on its worker.
 
 Exit codes: 0 success, 1 computational/runtime failure (malformed or empty
 data, checkpoint and report input files among them), 2 bad flags, config

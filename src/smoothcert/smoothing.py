@@ -28,16 +28,17 @@ chunk's generator draws in this order: those input normals, the
 chi-square, then each layer's weight noise.  A first layer with ``h >= d``
 rows draws all ``d`` input coordinates directly.
 
-Votes are drawn in chunks of ``_CHUNK`` = 1024.  A call takes a vote key
+Votes are drawn in chunks of ``_CHUNK`` = 512.  A call takes a vote key
 ``(base_seed, phase, *indices)`` -- ``PHASE_SELECTION`` and
 ``PHASE_ESTIMATION`` for ``certify``, ``PHASE_MARGIN`` for the margin loss
 -- and chunk ``c`` draws from its own SFC64 generator,
-``rng.vote_stream(key, c)``, built on the calling thread.  Chunks share no
-draws, and integer tallies add up exactly, so the sum of the chunks'
-tallies in any order is the call's tally.  Sampling is deterministic given
-the model, input and key: identical keys reproduce identical votes
-bit-for-bit.  Non-finite inputs or weights are rejected rather than voted
-on.  Ties in the vote argmax always break to the lowest class index.
+``rng.vote_stream(key, c)``, built on the calling thread in chunk order.
+Chunks share no draws, and integer tallies add up exactly, so the sum of
+the chunks' tallies in any order is the call's tally.  Sampling is
+deterministic given the model, input and key: identical keys reproduce
+identical votes bit-for-bit.  Non-finite inputs or weights are rejected
+rather than voted on.  Ties in the vote argmax always break to the lowest
+class index.
 
 The sampler draws a block of inputs at once: ``b`` votes for each row, row
 ``j``'s from its own generator, stacked in row order, with the products,
@@ -46,8 +47,8 @@ norms and ReLUs run once over the whole block.  ``certify`` and
 ``empirical_margin_loss`` packs ``max(1, _MARGIN_BLOCK // num)`` examples
 into a block (20 at 200 votes), and draws the block chunk by chunk: chunk
 ``c`` of every example in the block at once, so a draw holds at most
-``_MARGIN_BLOCK`` = 4 chunks' votes.  Four chunks rather than one make
-a block's ~60 short numpy calls, each of which may hand the GIL to another
+``_MARGIN_BLOCK`` = 4096 votes.  4,096 votes rather than 1,024 make a
+block's ~60 short numpy calls, each of which may hand the GIL to another
 thread, a quarter as many per vote; the price is memory: a serial call on
 785->32^3->10 peaks at 2.1 MB of arrays with 4,000-vote blocks, against
 0.58 MB with 1,000-vote blocks, and each thread runs one block.  Example
@@ -59,16 +60,27 @@ one-row block's by about 1e-15.
 
 Every vote product goes through ``_product``, which multiplies in equal row
 slices small enough that OpenBLAS keeps each dgemm on the calling thread
-(``_SERIAL_MNK``).  Its own threads would otherwise wake for each 1024-row
+(``_SERIAL_MNK``).  Its own threads would otherwise wake for each vote
 product and compete for the cores with the threads that call the sampler:
-``cli``'s ``certify --workers`` and the margin loss.  ``empirical_margin_loss``
-maps its blocks over ``train.ahead`` with one thread per usable core (when
-a vote costs at least ``_THREAD_MIN_MACS`` multiply-adds; smaller models
-stay on the calling thread) and sums the blocks' integer miss counts, so
-its value does not depend on the thread count.  The calling thread builds
-each block's sampler (which checks the block and the model) and its
+``cli``'s ``certify --workers``, the certify chunks and the margin loss.
+``sample_under_noise`` maps its chunks, and ``empirical_margin_loss`` its
+blocks, over ``train.ahead`` with one thread per usable core, at most one
+per chunk or block (when a vote costs at least ``_THREAD_MIN_MACS``
+multiply-adds; smaller models stay on the calling thread), and each sums
+the integer tallies or miss counts, so its result does not depend on the
+thread count.  A call made on a thread of another ``ahead`` pool, such as a
+sample of ``certify --workers``, runs its chunks in line.  The calling
+thread builds each sampler (which checks the input and the model) and the
 generators, in example and chunk order; the worker threads only draw,
-multiply and score.
+multiply and tally or score.
+
+Two 512-vote chunks in flight hold about what one 1024-vote chunk held, but
+only with small ufunc buffers: numpy 2.x allocates an 8192-element (64 KB)
+iteration buffer for each broadcasting ufunc call, such as ``e *=
+scale[:, None]`` in ``_add_weight_noise`` and the ``np.add`` of ``C`` in
+``draw``.  ``sample_under_noise`` tallies each chunk under
+``np.setbufsize(_CHUNK_BUFSIZE)`` and restores the size after it (the
+setting is per thread); the logits do not depend on the buffer size.
 """
 
 from __future__ import annotations
@@ -86,15 +98,21 @@ from .train import _usable_cores, ahead
 
 ABSTAIN = -1
 
-_CHUNK = 1024
-# Most votes in one of the margin loss's blocks: 4 chunks' worth, so that a
-# block's ~60 numpy calls, each of which may hand the GIL to the other
-# thread, are shared by 20 examples at 200 votes instead of 5.  On 2 Xeon
-# cores at one BLAS thread, 1024 digits examples x 200 votes took 7,600-8,000
-# voluntary context switches per threaded call in 1,000-vote blocks and
-# 2,800-2,900 in 4,000-vote ones; 8,000-vote blocks were a little faster
-# still, at twice the memory (see the module docstring).
-_MARGIN_BLOCK = 4 * _CHUNK
+_CHUNK = 512
+# Ufunc buffer size, in elements, while a certify chunk is tallied (see the
+# module docstring).  On 2 Xeon cores at one BLAS thread, a certify call on
+# 785->32^3->10 with two 512-vote chunks in flight peaked at 0.670 MB of
+# arrays under numpy's default 8192 and at 0.560 MB under 1024, against
+# 0.583 MB for one 1024-vote chunk at a time.
+_CHUNK_BUFSIZE = 1024
+# Most votes in one of the margin loss's blocks, so that a block's ~60 numpy
+# calls, each of which may hand the GIL to the other thread, are shared by
+# 20 examples at 200 votes instead of 5.  On 2 Xeon cores at one BLAS
+# thread, 1024 digits examples x 200 votes took 7,600-8,000 voluntary
+# context switches per threaded call in 1,000-vote blocks and 2,800-2,900 in
+# 4,000-vote ones; 8,000-vote blocks were a little faster still, at twice
+# the memory (see the module docstring).
+_MARGIN_BLOCK = 4096
 
 # Largest m * n * k of a vote product run as one dgemm.  OpenBLAS 0.3.31
 # (scipy-openblas, 2 Xeon cores) runs a dgemm on the calling thread below
@@ -105,15 +123,15 @@ _SERIAL_MNK = 1 << 18
 # = 2048 weights (64 x 64, say) is multiplied whole: 1024 rows of 64 x 64 in
 # 64-row slices took 1.4-1.8x the whole product's time at one BLAS thread.
 _MIN_SLICE_ROWS = 128
-# Fewest multiply-adds per vote (the model's weights) for which the margin
-# loss spreads its blocks over the cores.  A block of a smaller model is ~60
-# numpy calls of a few microseconds each, so the threads mostly hand the GIL
-# over, and whether that pays hangs on the other core being free.  At one
-# BLAS thread on 2 shared Xeon cores, two threads took, as a share of the
-# serial time (median, range), for 256 examples on 17->32^3->3 (2,688
-# weights) 0.74 (0.66-0.96) with the other core idle and 1.01 (0.91-1.37)
-# with a busy loop on it; for 1024 examples on 785->32^3->10 (27,488
-# weights) 0.73 (0.64-0.98) and 0.93 (0.84-1.11).
+# Fewest multiply-adds per vote (the model's weights) for which certify's
+# chunks and the margin loss's blocks are spread over the cores.  A block of
+# a smaller model is ~60 numpy calls of a few microseconds each, so the
+# threads mostly hand the GIL over, and whether that pays hangs on the other
+# core being free.  At one BLAS thread on 2 shared Xeon cores, two threads
+# took, as a share of the serial time (median, range), for 256 examples on
+# 17->32^3->3 (2,688 weights) 0.74 (0.66-0.96) with the other core idle and
+# 1.01 (0.91-1.37) with a busy loop on it; for 1024 examples on
+# 785->32^3->10 (27,488 weights) 0.73 (0.64-0.98) and 0.93 (0.84-1.11).
 _THREAD_MIN_MACS = 1 << 13
 
 
@@ -281,6 +299,15 @@ def _add_weight_noise(A, scale, gens) -> None:
     A += e
 
 
+def _threads(model: MlpModel, tasks: int) -> int:
+    """Threads to map ``tasks`` vote chunks or blocks of ``model`` over: one
+    per usable core and at most one per task, or only the calling thread for
+    a model of fewer than ``_THREAD_MIN_MACS`` weights."""
+    if sum(w.size for w in model.layers) < _THREAD_MIN_MACS:
+        return 1
+    return min(_usable_cores(), tasks)
+
+
 def _chunks(num: int) -> list[tuple[int, int]]:
     """``(c, b)`` for each chunk of a ``num``-vote call: chunk ``c`` holds
     ``b`` votes and draws from ``rng.vote_stream(key, c)``."""
@@ -295,13 +322,24 @@ def sample_under_noise(
     """Tally argmax votes of the jointly-perturbed network over ``num`` draws.
 
     ``key`` is a vote key ``(base_seed, phase, *indices)``; see ``rng``.  Its
-    first element is the seed: ``noise.base_seed`` is not read here.
+    first element is the seed: ``noise.base_seed`` is not read here.  The
+    chunks run on one thread per usable core for a model of at least
+    ``_THREAD_MIN_MACS`` weights; the tally does not depend on how many.
     """
     draw = _chunk_sampler(model, np.asarray(x, dtype=np.float64)[None], noise)
+    chunks = _chunks(num)
     k = model.out_dim
-    counts = np.zeros(k, dtype=np.int64)
-    for c, b in _chunks(num):
-        counts += np.bincount(np.argmax(draw(b, [rng.vote_stream(key, c)]), axis=1), minlength=k)
+
+    def tally(b: int, gen: np.random.Generator) -> np.ndarray:
+        bufsize = np.setbufsize(_CHUNK_BUFSIZE)
+        try:
+            return np.bincount(np.argmax(draw(b, [gen]), axis=1), minlength=k)
+        finally:
+            np.setbufsize(bufsize)
+
+    gens = ((b, rng.vote_stream(key, c)) for c, b in chunks)
+    with ahead(tally, gens, _threads(model, len(chunks))) as tallies:
+        counts = sum(tallies, np.zeros(k, dtype=np.int64))
     return VoteCounts(counts=tuple(int(c) for c in counts), draws=num)
 
 
@@ -398,13 +436,13 @@ def empirical_margin_loss(
     are scored together and split per example by a reshape.  A draw thus
     holds at most ``_MARGIN_BLOCK`` votes, so that each block's short numpy
     calls, and the GIL hand-overs between threads that come with them, are
-    shared by up to 4 chunks' votes; a running 4,000-vote block on
+    shared by up to 4,096 votes; a running 4,000-vote block on
     785->32^3->10 peaks at about 2.1 MB of arrays, against 0.58 MB for a
     1,000-vote one.  The block's products
     may round differently from one example's, by about 1e-15 (see the
     module docstring).  The blocks run on one thread per usable core when
-    the model has at least ``_THREAD_MIN_MACS`` weights, and the result
-    does not depend on how many threads there are.
+    the model has at least ``_THREAD_MIN_MACS`` weights (at most one per
+    block), and the result does not depend on how many threads there are.
     """
     X, y = _labelled(model, inputs, labels)
     if gamma < 0.0 or not np.isfinite(gamma):
@@ -438,8 +476,7 @@ def empirical_margin_loss(
             counts += ind.reshape(ys.shape[0], b, k).sum(axis=1)
         return int(np.count_nonzero(np.argmax(counts, axis=1) != ys))
 
-    macs = sum(w.size for w in model.layers)
-    threads = _usable_cores() if macs >= _THREAD_MIN_MACS else 1
+    threads = _threads(model, -(-X.shape[0] // per_block))
     with ahead(misses, blocks(), threads) as results:
         wrong = sum(results)
     return wrong / X.shape[0]

@@ -23,17 +23,22 @@ order and the arithmetic are those of a serial loop, so the weights are
 bit-identical to it.  Small batches stay in that serial loop: see
 ``_AHEAD_MIN_VALUES``.
 
-``ahead`` is that ordered, bounded map.  It has four callers: ``train``;
+``ahead`` is that ordered, bounded map.  It has five callers: ``train``;
 ``cli``'s ``certify --workers``, which maps its samples through it;
-``smoothing.empirical_margin_loss``, which maps its vote blocks through it
-with ``_usable_cores()`` threads when the model has enough weights; and
+``smoothing.sample_under_noise`` and ``smoothing.empirical_margin_loss``,
+which map their vote chunks and vote blocks through it with one thread per
+usable core when the model has enough weights; and
 ``sigma_select.select_sigma``, which maps its perturbation blocks through it
-with ``_usable_cores()`` threads when their first layers are stacked.
+with ``_usable_cores()`` threads when their first layers are stacked.  A
+call made on one of ``ahead``'s own pool threads runs in line, so a certify
+call mapped over the cores (``certify --workers``) does not start a pool of
+its own for its chunks.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
@@ -202,6 +207,14 @@ def train(
     return model, metrics
 
 
+# Marks the threads of ``ahead``'s pools.
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -215,13 +228,15 @@ def ahead(fn: Callable, items: Iterable[tuple], threads: int) -> Iterator[Iterat
     pool of that many threads, at most ``2 * threads`` ahead of the consumer.
 
     ``items`` is advanced on the calling thread only.  Leaving the block
-    cancels the calls not yet started and joins every thread.
+    cancels the calls not yet started and joins every thread.  Called on a
+    thread of another ``ahead`` pool, the calls run in line on that thread:
+    the outer pool already has the cores.
     """
-    if threads <= 1:
+    if threads <= 1 or getattr(_pool_thread, "active", False):
         yield starmap(fn, items)
         return
     items = iter(items)
-    pool = ThreadPoolExecutor(max_workers=threads)
+    pool = ThreadPoolExecutor(max_workers=threads, initializer=_mark_pool_thread)
 
     def results() -> Iterator:
         pending = deque(pool.submit(fn, *item) for item in islice(items, 2 * threads))

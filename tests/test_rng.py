@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,8 @@ def test_no_two_consumers_share_a_stream_key(monkeypatch):
     assert {k[1] for k in keys} == phases
 
 
-@pytest.mark.parametrize("num", [7, 200, smoothing._CHUNK, 1500, 2 * smoothing._CHUNK + 1])
+# 1024 and 2049 votes are two whole chunks and four and a bit
+@pytest.mark.parametrize("num", [7, 200, 1024, 1500, 2049])
 def test_margin_loss_keys_one_stream_per_example_and_chunk_in_order(monkeypatch, num):
     # many examples share a block when num <= _MARGIN_BLOCK // 2, yet
     # example i still draws chunk c from its own key, and the keys come in
@@ -164,6 +167,34 @@ def test_margin_loss_keys_one_stream_per_example_and_chunk_in_order(monkeypatch,
                                     NoiseConfig(sigma_input=0.3, base_seed=4), num)
     chunks = -(-num // smoothing._CHUNK)
     assert keys == [(4, rng.PHASE_MARGIN, i, c) for i in range(m) for c in range(chunks)]
+
+
+def test_certify_builds_its_chunk_generators_on_the_calling_thread_in_order(monkeypatch):
+    # the chunks are tallied on two threads, but every generator is built on
+    # the calling thread, selection's and then estimation's chunks in order
+    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
+    built, products = [], set()
+    vote_stream, product = rng.vote_stream, smoothing._product
+
+    def record_vote(key, chunk):
+        built.append((threading.get_ident(), (*key, chunk)))
+        return vote_stream(key, chunk)
+
+    def record_product(A, w):
+        products.add(threading.get_ident())
+        return product(A, w)
+
+    monkeypatch.setattr(rng, "vote_stream", record_vote)
+    monkeypatch.setattr(smoothing, "_product", record_product)
+    model = nn.init_model((3, 4, 2), seed=0)
+    noise = NoiseConfig(sigma_input=0.5, base_seed=0)
+    smoothing.certify(model, np.ones(3), noise, n_selection=10,
+                      n_estimation=6 * smoothing._CHUNK + 1, sample_index=2)
+    me = threading.get_ident()
+    assert built == [(me, (0, rng.PHASE_SELECTION, 2, 0))] + [
+        (me, (0, rng.PHASE_ESTIMATION, 2, c)) for c in range(7)]
+    assert products - {me}  # some chunks ran on the workers
 
 
 def test_certify_estimation_misses_the_shuffle_stream(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -11,8 +12,10 @@ from scipy.stats import norm
 
 from smoothcert import rng, smoothing
 from smoothcert.nn import MlpModel, forward_batch
+from smoothcert.train import ahead
 from smoothcert.smoothing import (
     _CHUNK,
+    _CHUNK_BUFSIZE,
     _MIN_SLICE_ROWS,
     _SERIAL_MNK,
     ABSTAIN,
@@ -84,6 +87,146 @@ def test_chunk_tallies_sum_to_the_call_tally():
         Z = draw(min(_CHUNK, num - c * _CHUNK), [rng.vote_stream(key, c)])
         counts += np.bincount(np.argmax(Z, axis=1), minlength=3)
     assert sample_under_noise(model, x, num, noise, key).counts == tuple(counts)
+
+
+@pytest.mark.parametrize("dims", [(12, 3, 3), (4, 6, 3)])  # row-space, and h >= d
+@pytest.mark.parametrize("n", [_CHUNK, 2 * _CHUNK + 1])
+def test_votes_do_not_depend_on_the_thread_count(monkeypatch, dims, n):
+    # the chunks' integer tallies are summed, so spreading the chunks over
+    # any number of threads gives the same counts; selection's 100 votes
+    # are one chunk.  Threads switch every microsecond, so that they
+    # interleave within each chunk.
+    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)  # thread these small models
+    model = rand_model(dims, seed=10)
+    x = rng.stream(30, 98).standard_normal(dims[0])
+    noise = NoiseConfig(sigma_input=0.6, sigma_weight=0.4, base_seed=8)
+    key = (8, rng.PHASE_ESTIMATION, 0)
+    votes, results = set(), set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(smoothing, "_usable_cores", lambda: threads)
+            votes.add(tuple(sample_under_noise(model, x, num, noise, key) for num in (100, n)))
+            results.add(certify(model, x, noise, n_selection=100, n_estimation=n,
+                                sample_index=3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(votes) == 1 and len(results) == 1
+    (res,) = results
+    assert sorted(res.estimation.counts)[-2] > 0  # the votes are split
+
+
+def test_certify_threads_only_estimation_chunks_of_models_of_many_weights(monkeypatch):
+    # 12 -> 8 -> 8 -> 3 has 184 weights, 12 -> 96 -> 96 -> 3 has 10,656;
+    # selection's 100 votes are one chunk, on the calling thread either way
+    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
+    product = smoothing._product
+    for hidden, threaded in ((8, False), (96, True)):
+        model = rand_model((12, hidden, hidden, 3), seed=3)
+        calls = []
+
+        def recording_product(A, w):
+            calls.append(threading.get_ident())
+            return product(A, w)
+
+        monkeypatch.setattr(smoothing, "_product", recording_product)
+        certify(model, np.ones(12), NoiseConfig(sigma_input=0.3), n_selection=100,
+                n_estimation=4 * _CHUNK)
+        assert calls[:3] == [threading.get_ident()] * 3
+        assert (threading.get_ident() not in calls[3:]) == threaded, hidden
+
+
+def test_certify_joins_its_chunk_threads_also_when_a_chunk_raises(monkeypatch):
+    model = rand_model((12, 3, 3), seed=3)
+    x = np.linspace(-1.0, 1.0, 12)
+    noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
+    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
+    start = threading.active_count()
+    certify(model, x, noise, n_selection=100, n_estimation=6 * _CHUNK)
+    assert threading.active_count() == start
+
+    calls = []
+    product = smoothing._product
+
+    def failing_product(A, w):
+        calls.append(threading.get_ident())
+        if len(calls) == 5:  # selection's two products, then the estimation chunks'
+            raise RuntimeError("chunk failed")
+        return product(A, w)
+
+    monkeypatch.setattr(smoothing, "_product", failing_product)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        certify(model, x, noise, n_selection=100, n_estimation=6 * _CHUNK)
+    assert calls[:2] == [threading.get_ident()] * 2
+    assert threading.get_ident() not in calls[2:]  # the chunks ran on the workers
+    assert threading.active_count() == start
+
+
+def test_certify_on_an_ahead_worker_runs_its_chunks_on_that_worker(monkeypatch):
+    # certify --workers maps its samples over train.ahead; a sample's chunks
+    # then run on the worker that certifies it, so no second pool starts
+    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
+    model = rand_model((12, 3, 3), seed=3)
+    model.row_basis  # computed before the threads meet it
+    X = rng.stream(31, 98).standard_normal((6, 12))
+    noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
+    want = [certify(model, x, noise, n_estimation=4 * _CHUNK, sample_index=i)
+            for i, x in enumerate(X)]
+    before = threading.active_count()
+    products, samples, alive = set(), set(), []
+    product = smoothing._product
+
+    def recording_product(A, w):
+        products.add(threading.get_ident())
+        alive.append(threading.active_count())
+        return product(A, w)
+
+    def certify_one(i):
+        samples.add(threading.get_ident())
+        return certify(model, X[i], noise, n_estimation=4 * _CHUNK, sample_index=i)
+
+    monkeypatch.setattr(smoothing, "_product", recording_product)
+    with ahead(certify_one, zip(range(len(X))), 2) as results:
+        got = list(results)
+    assert got == want
+    assert products == samples and threading.get_ident() not in samples
+    assert max(alive) <= before + 2  # the outer pool's two threads
+    assert threading.active_count() == before
+
+
+def test_chunk_logits_do_not_depend_on_the_ufunc_buffer_size(monkeypatch):
+    # chunks are tallied under small ufunc buffers, which must change no bit;
+    # the caller's buffer size comes back, also when a chunk raises
+    noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
+    for dims in ((12, 3, 3), (4, 6, 3)):  # row-space, and h >= d
+        model = rand_model(dims, seed=5)
+        x = np.linspace(-1.0, 1.0, dims[0])
+        draw = _chunk_sampler(model, x[None, :], noise)
+        logits = []
+        for size in (np.getbufsize(), _CHUNK_BUFSIZE):
+            before = np.setbufsize(size)
+            try:
+                logits.append(draw(_CHUNK, [rng.vote_stream((1, rng.PHASE_ESTIMATION, 0), 0)]))
+            finally:
+                np.setbufsize(before)
+        assert np.array_equal(*logits)
+
+    def failing_product(A, w):
+        raise RuntimeError("chunk failed")
+
+    before = np.setbufsize(4096)  # the caller's own size
+    try:
+        sample_under_noise(model, x, 2 * _CHUNK, noise, (1,))
+        assert np.getbufsize() == 4096
+        monkeypatch.setattr(smoothing, "_product", failing_product)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            sample_under_noise(model, x, 2 * _CHUNK, noise, (1,))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(before)
 
 
 @pytest.mark.parametrize("dims", [(12, 3, 3), (4, 6, 3)])  # row-space, and h >= d
@@ -469,10 +612,10 @@ def reference_margin_loss(model, X, y, gamma, noise, num, logits=None):
 @pytest.mark.parametrize("num, m", [
     (7, 150),            # one block of all 150 examples (585 would fit)
     (200, 13),           # one block of 13 examples, 2600 votes
-    (_CHUNK, 4),         # one block of 4 examples, one chunk each
-    (2 * _CHUNK + 1, 3),  # one example per block, three chunks each
+    (1024, 4),           # one block of 4 examples, two whole chunks each
+    (2049, 3),           # one example per block, five chunks each, the last of 1 vote
     (200, 45),           # blocks of 20 examples, 4000 votes; the last holds 5
-    (1500, 5),           # blocks of 2 examples, two chunks each; the last holds 1
+    (1500, 5),           # blocks of 2 examples, three chunks each; the last holds 1
 ])
 def test_batched_margin_loss_equals_per_example_loop(monkeypatch, dims, num, m):
     model = rand_model(dims, seed=7)
@@ -521,10 +664,10 @@ def test_batched_margin_loss_equals_per_example_loop(monkeypatch, dims, num, m):
 @pytest.mark.parametrize("num, m", [
     (7, 300),            # one block of all 300 examples (585 would fit)
     (200, 13),           # one block of 13 examples, 2600 votes
-    (_CHUNK, 4),         # one block of 4 examples, one chunk each
-    (2 * _CHUNK + 1, 3),  # three blocks of one example, three chunks each
+    (1024, 4),           # one block of 4 examples, two whole chunks each
+    (2049, 3),           # three blocks of one example, five chunks each
     (200, 45),           # three blocks of 20, 20 and 5 examples
-    (1500, 5),           # three blocks of 2, 2 and 1 examples, two chunks each
+    (1500, 5),           # three blocks of 2, 2 and 1 examples, three chunks each
 ])
 def test_margin_loss_does_not_depend_on_the_thread_count(monkeypatch, dims, num, m):
     # the blocks' integer miss counts are summed, so spreading the blocks
