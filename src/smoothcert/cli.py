@@ -11,10 +11,11 @@ are byte-reproducible for identical resolved configurations, except the
 wall-time ``seconds`` column of ``metrics.csv``.
 
 ``certify --workers N`` runs the per-sample certify calls on N threads
-through ``train.ahead``.  Results come back in sample order, so the outputs
-do not depend on N.  With N = 1 every call runs on the calling thread, and
+through ``train.ahead``: the calling thread and N - 1 helpers.  Results
+come back in sample order, so the outputs do not depend on N.  With N = 1
 a call on a model of many weights spreads its own vote chunks over the
-cores; with N > 1 each call's chunks run on its worker.
+cores; with N > 1 each call's chunks run in line on the thread that
+certifies its sample.
 
 Exit codes: 0 success, 1 computational/runtime failure (malformed or empty
 data, checkpoint and report input files among them), 2 bad flags, config
@@ -270,7 +271,7 @@ def _cmd_certify(cfg: dict) -> None:
         base_seed=cfg["seed"],
     )
     # computed here, once: from Python 3.12 a cached_property takes no lock,
-    # so pool threads meeting it first would each run the QR
+    # so threads meeting it first would each run the QR
     model.row_basis
 
     def certify_one(i: int) -> smoothing.CertifyResult:

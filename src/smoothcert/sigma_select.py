@@ -30,10 +30,12 @@ larger than the later ones and the wide result only spills the cache, so
 each block is one perturbation and the blocks run on the calling thread.
 
 The calling thread makes every block's generators, in draw order, so every
-``rng`` call stays on it, as in ``train`` and the margin loss; a block
-draws each perturbation's first layer in place in its stacked array and
-returns its accuracies in draw order.  Neither the blocking nor the thread
-count changes the draws or the arithmetic of any output column.
+``rng`` call stays on it, as in ``train`` and the margin loss, and it
+scores blocks itself as the helper threads do, one thread per core in all;
+a block draws each perturbation's first layer in place in its stacked
+array and returns its accuracies in draw order.  Neither the blocking nor
+the thread count, nor which thread scores a block, changes the draws or
+the arithmetic of any output column.
 """
 
 from __future__ import annotations

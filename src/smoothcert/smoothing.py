@@ -68,11 +68,12 @@ blocks, over ``train.ahead`` with one thread per usable core, at most one
 per chunk or block (when a vote costs at least ``_THREAD_MIN_MACS``
 multiply-adds; smaller models stay on the calling thread), and each sums
 the integer tallies or miss counts, so its result does not depend on the
-thread count.  A call made on a thread of another ``ahead`` pool, such as a
-sample of ``certify --workers``, runs its chunks in line.  The calling
-thread builds each sampler (which checks the input and the model) and the
-generators, in example and chunk order; the worker threads only draw,
-multiply and tally or score.
+thread count.  The calling thread is one of those threads: it builds each
+sampler (which checks the input and the model) and the generators, in
+example and chunk order, and between those it draws, multiplies and
+tallies or scores chunks and blocks as the helper threads do.  A call made
+inside another ``ahead``'s item, such as a sample of ``certify
+--workers``, runs its chunks in line on that item's thread.
 
 Two 512-vote chunks in flight hold about what one 1024-vote chunk held, but
 only with small ufunc buffers: numpy 2.x allocates an 8192-element (64 KB)

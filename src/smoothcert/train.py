@@ -14,25 +14,30 @@ one ``standard_normal`` of the batch's shape added to ``X[idx]``.
 Nothing in that input stream depends on the model, so the noisy batches are
 drawn ahead of the SGD step.  The calling thread walks the ``(epoch,
 batch)`` plan in order, draws each permutation and derives each batch's
-generator itself (so every ``rng`` call stays on it); worker threads only
-gather ``X[idx]`` and add the noise, at most two batches per thread ahead,
-across epoch boundaries; the SGD step takes the batches in plan order.
-numpy releases the GIL while it fills and adds the arrays, so on a second
-core the draws overlap the forward, backward and SGD work.  The draws, their
-order and the arithmetic are those of a serial loop, so the weights are
+generator itself (so every ``rng`` call stays on it); gathering ``X[idx]``
+and adding the noise is ``ahead``'s item, run by a helper thread or, when
+the SGD step finds its next batch not ready, by the calling thread itself.
+At most two batches per thread are drawn ahead of the SGD step, across
+epoch boundaries, and the step takes them in plan order.  numpy releases
+the GIL while it fills and adds the arrays, so on a second core the draws
+overlap the forward, backward and SGD work.  The draws, their order and
+the arithmetic are those of a serial loop, so the weights are
 bit-identical to it.  Small batches stay in that serial loop: see
 ``_AHEAD_MIN_VALUES``.
 
-``ahead`` is that ordered, bounded map.  It has five callers: ``train``;
-``cli``'s ``certify --workers``, which maps its samples through it;
+``ahead`` is that ordered, bounded map, on ``threads`` threads of which the
+calling thread is one: it starts ``threads - 1`` helpers, and rather than
+wait for a result that is not ready it runs the first item no thread has
+started.  It has five callers: ``train``; ``cli``'s ``certify
+--workers``, which maps its samples through it;
 ``smoothing.sample_under_noise`` and ``smoothing.empirical_margin_loss``,
 which map their vote chunks and vote blocks through it with one thread per
 usable core when the model has enough weights; and
 ``sigma_select.select_sigma``, which maps its perturbation blocks through it
-with ``_usable_cores()`` threads when their first layers are stacked.  A
-call made on one of ``ahead``'s own pool threads runs in line, so a certify
-call mapped over the cores (``certify --workers``) does not start a pool of
-its own for its chunks.
+with ``_usable_cores()`` threads when their first layers are stacked.  An
+``ahead`` called inside an item, on a helper or on the calling thread,
+runs in line, so a certify call mapped over the cores (``certify
+--workers``) does not start threads of its own for its chunks.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from contextlib import contextmanager
+from contextvars import Context, ContextVar
 from dataclasses import dataclass
 from itertools import islice, starmap
 
@@ -62,11 +68,10 @@ from .nn import (
 from .spectral import regularizer_and_gradient
 
 # Fewest noise values in one batch for which the batches are drawn ahead on
-# a thread pool.  A hand-off costs more than a small draw.  On 2 Xeon cores
-# at one BLAS thread, CLI `train` on the default blobs (256x17 = 4352
-# values a batch) took about 0.15 s in line and 0.20-0.30 s on the pool,
-# while on digits (256x785 = 201k values) the pool cut it from 1.87 to
-# 1.17 s.
+# threads.  A hand-off costs more than a small draw.  On 2 Xeon cores at one
+# BLAS thread, CLI `train` on the default blobs (256x17 = 4352 values a
+# batch) took about 0.15 s in line and 0.20-0.30 s on a thread pool, while
+# on digits (256x785 = 201k values) the pool cut it from 1.87 to 1.17 s.
 _AHEAD_MIN_VALUES = 1 << 16
 
 
@@ -207,12 +212,9 @@ def train(
     return model, metrics
 
 
-# Marks the threads of ``ahead``'s pools.
-_pool_thread = threading.local()
-
-
-def _mark_pool_thread() -> None:
-    _pool_thread.active = True
+# True inside ``ahead``'s items, on its helper threads and on the calling
+# thread while it runs one, so that an ``ahead`` called there runs in line.
+_in_item: ContextVar[bool] = ContextVar("_in_item", default=False)
 
 
 def _usable_cores() -> int:
@@ -224,29 +226,90 @@ def _usable_cores() -> int:
 
 @contextmanager
 def ahead(fn: Callable, items: Iterable[tuple], threads: int) -> Iterator[Iterator]:
-    """``map(fn, items)`` in order; with ``threads > 1`` the calls run on a
-    pool of that many threads, at most ``2 * threads`` ahead of the consumer.
+    """``map(fn, items)`` in order, on ``threads`` threads: the calling
+    thread and ``threads - 1`` helpers.
 
-    ``items`` is advanced on the calling thread only.  Leaving the block
-    cancels the calls not yet started and joins every thread.  Called on a
-    thread of another ``ahead`` pool, the calls run in line on that thread:
-    the outer pool already has the cores.
+    ``items`` is advanced on the calling thread only, at most ``2 *
+    threads`` items ahead of the consumer.  When the next result is not
+    ready, the calling thread runs the first item that no thread has
+    started instead of waiting; it waits only when every drawn item has
+    started.  An item's error is raised in its turn.  The calling thread
+    runs its items in a context of their own, as a new thread would, so
+    the consumer's ``np.errstate`` reaches no item on any thread.  Leaving
+    the block drops the items not yet started and joins every helper.
+    Called inside an item, on any thread, the calls run in line: the outer
+    map already has the cores.
     """
-    if threads <= 1 or getattr(_pool_thread, "active", False):
+    if threads <= 1 or _in_item.get():
         yield starmap(fn, items)
-        return
-    items = iter(items)
-    pool = ThreadPoolExecutor(max_workers=threads, initializer=_mark_pool_thread)
+    else:
+        yield from _threaded(fn, iter(items), threads)
+
+
+def _threaded(fn: Callable, items: Iterator[tuple], threads: int) -> Iterator[Iterator]:
+    """``ahead`` on threads: yields the ordered results once, then stops and
+    joins the helpers when it resumes or is closed.  Kept apart from
+    ``ahead`` so that the in-line path's frame holds none of this state."""
+    lock = threading.Lock()
+    work = threading.Condition(lock)
+    queued: deque[tuple[Future, tuple]] = deque()  # drawn, not yet started
+    stopped = False
+    own = Context()
+    own.run(_in_item.set, True)
+
+    def run(future: Future, args: tuple) -> None:
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
+
+    def helper() -> None:
+        _in_item.set(True)
+        while True:
+            with lock:
+                while not (queued or stopped):
+                    work.wait()
+                if stopped:
+                    return
+                future, args = queued.popleft()
+            try:
+                run(future, args)
+            except BaseException as e:
+                future.set_exception(e)
+
+    def draw(count: int) -> Iterator[Future]:
+        for args in islice(items, count):
+            future = Future()
+            with lock:
+                queued.append((future, args))
+                work.notify()
+            yield future
 
     def results() -> Iterator:
-        pending = deque(pool.submit(fn, *item) for item in islice(items, 2 * threads))
+        pending = deque(draw(2 * threads))
         while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, *item) for item in islice(items, 1))
+            head = pending.popleft()
+            while not head.done():
+                with lock:
+                    if not queued:
+                        break
+                    future, args = queued.popleft()
+                own.run(run, future, args)
+            result = head.result()
+            pending.extend(draw(1))
             yield result
 
+    helpers: list[threading.Thread] = []
     try:
+        for _ in range(threads - 1):
+            t = threading.Thread(target=helper)
+            t.start()
+            helpers.append(t)
         yield results()
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
+        with lock:
+            stopped = True
+            queued.clear()
+            work.notify_all()
+        for t in helpers:
+            t.join()

@@ -1,9 +1,11 @@
 """Shared helpers: random models, argmax accuracy, loop-based reference
-forward pass, finite differences, a minimal IDX writer.  The reference
-implementations here stay deliberately dumb (python loops, no shortcuts) so
-they can serve as independent oracles."""
+forward pass, finite differences, a minimal IDX writer and a two-thread
+meeting point for threaded maps.  The reference implementations here stay
+deliberately dumb (python loops, no shortcuts) so they can serve as
+independent oracles."""
 
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -76,6 +78,31 @@ def relative_error(got, want):
     want = np.asarray(want, dtype=float)
     denom = np.maximum(np.abs(want), 1e-300)
     return float(np.max(np.abs(got - want) / denom))
+
+
+def meet_on_two_threads(fn, after=0):
+    """Wrap ``fn`` so that, from call ``after`` on, the first call on each
+    of the first two threads to arrive waits until the other has arrived
+    too.  A threaded map passes only if two threads run its items at once;
+    one that runs them all on one thread fails with
+    ``threading.BrokenBarrierError`` after a 10 s timeout, not by scheduling
+    luck.  Returns the wrapper and the thread id of every call, in order."""
+    barrier = threading.Barrier(2, timeout=10.0)
+    lock = threading.Lock()
+    calls, met = [], set()
+
+    def wrapper(*args, **kwargs):
+        me = threading.get_ident()
+        with lock:
+            calls.append(me)
+            wait = len(calls) > after and me not in met and len(met) < 2
+            if wait:
+                met.add(me)
+        if wait:
+            barrier.wait()
+        return fn(*args, **kwargs)
+
+    return wrapper, calls
 
 
 @pytest.fixture

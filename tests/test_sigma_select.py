@@ -9,7 +9,7 @@ from smoothcert.nn import MlpModel, init_model
 from smoothcert.sigma_select import SigmaSearchConfig, SigmaSearchResult, select_sigma
 from smoothcert.train import TrainConfig, train
 
-from conftest import accuracy
+from conftest import accuracy, meet_on_two_threads
 
 
 def trained_toy():
@@ -168,20 +168,22 @@ def test_block_evaluation_matches_per_model_loop(monkeypatch, dims, n_samples):
         assert res.base_accuracy == accuracy(model, X[:250], y[:250])
 
 
-def recording_blocks(monkeypatch, fail_at=None):
+def recording_blocks(monkeypatch, threaded, fail_at=None):
     """Patch the block scorer to record each call's thread and block size,
-    raising on call ``fail_at``."""
-    calls = []
+    raising on call ``fail_at``; when ``threaded``, the first blocks of two
+    threads must run at once (see ``meet_on_two_threads``)."""
+    sizes = []
     score = sigma_select._block_accuracies
 
     def recording(model, X, y, sig, gens):
-        calls.append((threading.get_ident(), len(gens)))
-        if len(calls) == fail_at:
+        sizes.append(len(gens))
+        if len(sizes) == fail_at:
             raise RuntimeError("block failed")
         return score(model, X, y, sig, gens)
 
-    monkeypatch.setattr(sigma_select, "_block_accuracies", recording)
-    return calls
+    met, threads = meet_on_two_threads(recording, after=0 if threaded else math.inf)
+    monkeypatch.setattr(sigma_select, "_block_accuracies", met)
+    return sizes, threads
 
 
 @pytest.mark.parametrize("dims, cores, sizes, threaded", [
@@ -195,11 +197,14 @@ def test_perturbations_run_in_equal_blocks_per_core(monkeypatch, dims, cores, si
     X = rng.stream(19, 1).standard_normal((60, dims[0]))
     y = np.arange(60) % 3
     monkeypatch.setattr(sigma_select, "_usable_cores", lambda: cores)
-    calls = recording_blocks(monkeypatch)
+    got, threads = recording_blocks(monkeypatch, threaded)
     start = threading.active_count()
     select_sigma(model, X, y, SigmaSearchConfig(grid_start=0.01, grid_stop=0.01, n_samples=50))
-    assert [n for _, n in calls] == sizes
-    assert (threading.get_ident() not in {t for t, _ in calls}) == threaded
+    assert sorted(got) == sorted(sizes)  # the caller may start a later block first
+    if threaded:
+        assert len(set(threads)) >= 2
+    else:
+        assert set(threads) == {threading.get_ident()}
     assert threading.active_count() == start
 
 
@@ -208,9 +213,10 @@ def test_sigma_search_joins_its_threads_also_when_a_block_raises(monkeypatch):
     X = rng.stream(19, 1).standard_normal((60, 40))
     y = np.zeros(60, dtype=int)
     monkeypatch.setattr(sigma_select, "_usable_cores", lambda: 2)
-    calls = recording_blocks(monkeypatch, fail_at=3)
+    _, threads = recording_blocks(monkeypatch, threaded=True, fail_at=3)
     start = threading.active_count()
     with pytest.raises(RuntimeError, match="block failed"):
         select_sigma(model, X, y, SigmaSearchConfig(n_samples=50))
-    assert threading.get_ident() not in {t for t, _ in calls}  # the blocks ran on the workers
+    # two blocks ran at once, one on the calling thread
+    assert threading.get_ident() in threads and len(set(threads)) == 2
     assert threading.active_count() == start

@@ -31,7 +31,7 @@ from smoothcert.smoothing import (
     sample_under_noise,
 )
 
-from conftest import rand_model
+from conftest import meet_on_two_threads, rand_model
 from oracles import binomial_tail, reference_votes
 
 NO_NOISE = NoiseConfig(sigma_input=0.0, sigma_weight=0.0)
@@ -119,22 +119,20 @@ def test_votes_do_not_depend_on_the_thread_count(monkeypatch, dims, n):
 
 def test_certify_threads_only_estimation_chunks_of_models_of_many_weights(monkeypatch):
     # 12 -> 8 -> 8 -> 3 has 184 weights, 12 -> 96 -> 96 -> 3 has 10,656;
-    # selection's 100 votes are one chunk, on the calling thread either way
+    # selection's 100 votes are one chunk, on the calling thread either way.
+    # The calling thread runs estimation chunks too; threaded, the one
+    # helper runs chunks at the same time as it
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
     product = smoothing._product
     for hidden, threaded in ((8, False), (96, True)):
         model = rand_model((12, hidden, hidden, 3), seed=3)
-        calls = []
-
-        def recording_product(A, w):
-            calls.append(threading.get_ident())
-            return product(A, w)
-
-        monkeypatch.setattr(smoothing, "_product", recording_product)
+        recording, calls = meet_on_two_threads(product, after=3 if threaded else math.inf)
+        monkeypatch.setattr(smoothing, "_product", recording)
         certify(model, np.ones(12), NoiseConfig(sigma_input=0.3), n_selection=100,
                 n_estimation=4 * _CHUNK)
         assert calls[:3] == [threading.get_ident()] * 3
-        assert (threading.get_ident() not in calls[3:]) == threaded, hidden
+        assert threading.get_ident() in calls[3:]
+        assert len(set(calls[3:])) == (2 if threaded else 1), hidden
 
 
 def test_certify_joins_its_chunk_threads_also_when_a_chunk_raises(monkeypatch):
@@ -147,26 +145,29 @@ def test_certify_joins_its_chunk_threads_also_when_a_chunk_raises(monkeypatch):
     certify(model, x, noise, n_selection=100, n_estimation=6 * _CHUNK)
     assert threading.active_count() == start
 
-    calls = []
     product = smoothing._product
+    count = []
 
     def failing_product(A, w):
-        calls.append(threading.get_ident())
-        if len(calls) == 5:  # selection's two products, then the estimation chunks'
+        count.append(1)
+        if len(count) == 5:  # selection's two products, then the estimation chunks'
             raise RuntimeError("chunk failed")
         return product(A, w)
 
-    monkeypatch.setattr(smoothing, "_product", failing_product)
+    # two threads run estimation chunks at once when one of them fails
+    recording, calls = meet_on_two_threads(failing_product, after=2)
+    monkeypatch.setattr(smoothing, "_product", recording)
     with pytest.raises(RuntimeError, match="chunk failed"):
         certify(model, x, noise, n_selection=100, n_estimation=6 * _CHUNK)
     assert calls[:2] == [threading.get_ident()] * 2
-    assert threading.get_ident() not in calls[2:]  # the chunks ran on the workers
+    assert threading.get_ident() in calls[2:] and len(set(calls[2:])) == 2
     assert threading.active_count() == start
 
 
 def test_certify_on_an_ahead_worker_runs_its_chunks_on_that_worker(monkeypatch):
     # certify --workers maps its samples over train.ahead; a sample's chunks
-    # then run on the worker that certifies it, so no second pool starts
+    # then run on the thread that certifies it, the calling thread or the
+    # one helper, so no second map starts threads
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
     monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
     model = rand_model((12, 3, 3), seed=3)
@@ -176,24 +177,27 @@ def test_certify_on_an_ahead_worker_runs_its_chunks_on_that_worker(monkeypatch):
     want = [certify(model, x, noise, n_estimation=4 * _CHUNK, sample_index=i)
             for i, x in enumerate(X)]
     before = threading.active_count()
-    products, samples, alive = set(), set(), []
+    products, alive = [], []
     product = smoothing._product
+    sample_thread = threading.local()
 
     def recording_product(A, w):
-        products.add(threading.get_ident())
+        products.append(threading.get_ident() == sample_thread.ident)
         alive.append(threading.active_count())
         return product(A, w)
 
-    def certify_one(i):
-        samples.add(threading.get_ident())
+    def certify_sample(i):
+        sample_thread.ident = threading.get_ident()
         return certify(model, X[i], noise, n_estimation=4 * _CHUNK, sample_index=i)
 
+    certify_one, samples = meet_on_two_threads(certify_sample)
     monkeypatch.setattr(smoothing, "_product", recording_product)
     with ahead(certify_one, zip(range(len(X))), 2) as results:
         got = list(results)
     assert got == want
-    assert products == samples and threading.get_ident() not in samples
-    assert max(alive) <= before + 2  # the outer pool's two threads
+    assert products and all(products)
+    assert threading.get_ident() in samples and len(set(samples)) == 2
+    assert max(alive) <= before + 1  # the outer map's one helper
     assert threading.active_count() == before
 
 
@@ -697,40 +701,40 @@ def test_margin_loss_joins_its_threads_also_when_a_block_raises(monkeypatch):
     empirical_margin_loss(model, X, y, 0.1, noise, num=200)
     assert threading.active_count() == start
 
-    calls = []
     product = smoothing._product
+    count = []
 
     def failing_product(A, w):
-        calls.append(threading.get_ident())
-        if len(calls) == 3:  # of the four products in the fixture's two blocks
+        count.append(1)
+        if len(count) == 3:  # of the four products in the fixture's two blocks
             raise RuntimeError("block failed")
         return product(A, w)
 
-    monkeypatch.setattr(smoothing, "_product", failing_product)
+    # the two blocks run at once, one on the calling thread and one on the
+    # helper, when one of them fails
+    recording, calls = meet_on_two_threads(failing_product)
+    monkeypatch.setattr(smoothing, "_product", recording)
     with pytest.raises(RuntimeError, match="block failed"):
         empirical_margin_loss(model, X, y, 0.1, noise, num=200)
-    assert threading.get_ident() not in calls  # the blocks ran on the workers
+    assert threading.get_ident() in calls and len(set(calls)) == 2
     assert threading.active_count() == start
 
 
 @pytest.mark.parametrize("hidden, threaded", [(8, False), (96, True)])
 def test_margin_loss_threads_only_models_of_many_weights(monkeypatch, hidden, threaded):
-    # 12 -> 8 -> 8 -> 3 has 184 weights, 12 -> 96 -> 96 -> 3 has 10,656
+    # 12 -> 8 -> 8 -> 3 has 184 weights, 12 -> 96 -> 96 -> 3 has 10,656.
+    # The calling thread scores blocks; threaded, the one helper scores
+    # blocks at the same time as it
     model = rand_model((12, hidden, hidden, 3), seed=3)
     X = rng.stream(24, 98).standard_normal((30, 12))
     y = np.argmax(forward_batch(model, X)[0], axis=1)
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    calls = []
-    product = smoothing._product
-
-    def recording_product(A, w):
-        calls.append(threading.get_ident())
-        return product(A, w)
-
-    monkeypatch.setattr(smoothing, "_product", recording_product)
+    recording, calls = meet_on_two_threads(smoothing._product,
+                                           after=0 if threaded else math.inf)
+    monkeypatch.setattr(smoothing, "_product", recording)
     empirical_margin_loss(model, X, y, 0.1, NoiseConfig(sigma_input=0.3), num=200)
-    assert calls
-    assert (threading.get_ident() not in calls) == threaded
+    assert threading.get_ident() in calls
+    assert len(set(calls)) == (2 if threaded else 1)
 
 
 def test_margin_loss_rejects_non_finite_weights_before_any_vote(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from smoothcert.nn import (
     sgd_step,
 )
 from smoothcert.spectral import regularizer_and_gradient, spectral_report
-from smoothcert.train import EpochMetrics, TrainConfig, TrainingDiverged, train
+from smoothcert.train import EpochMetrics, TrainConfig, TrainingDiverged, ahead, train
 
-from conftest import accuracy
+from conftest import accuracy, meet_on_two_threads
 
 
 def toy_problem(m=300, d=8, k=3, seed=6):
@@ -282,3 +283,187 @@ def test_no_thread_outlives_training(monkeypatch, m, d, batch):
              else os.cpu_count())
     pooled = batch * d >= 1 << 16 and cores > 1
     assert (seen["alive"] > before) == pooled
+
+
+# ------------------------------------------------------------ ahead
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_ahead_returns_results_in_order_under_random_delays(threads):
+    delays = rng.stream(5, 1).uniform(0.0, 2e-3, 40)
+
+    def slow(i):
+        time.sleep(delays[i])
+        return i * i
+
+    with ahead(slow, zip(range(40)), threads) as results:
+        assert list(results) == [i * i for i in range(40)]
+
+
+def test_ahead_runs_each_item_once_under_frequent_thread_switches():
+    # more threads than cores, and the interpreter switching threads as
+    # often as it can: a lost or doubled hand-off shows as a wrong count
+    runs = [0] * 300
+    got = []
+
+    def item(i):
+        runs[i] += 1  # one thread per item, if each item is taken once
+        return i
+
+    def consume():
+        with ahead(item, zip(range(300)), 4) as results:
+            got.extend(results)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        before = threading.active_count()
+        t = threading.Thread(target=consume)
+        t.start()
+        t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not t.is_alive()
+    assert got == list(range(300)) and runs == [1] * 300
+    assert threading.active_count() == before
+
+
+def test_ahead_caller_runs_every_item_while_the_helper_is_stalled():
+    # 2 threads draw all 4 items at once; the helper stalls on the first
+    # item it takes, until the calling thread has run all the others
+    caller = threading.get_ident()
+    ran = {"caller": [], "helper": []}
+    release = threading.Event()
+
+    def item(i):
+        if threading.get_ident() == caller:
+            ran["caller"].append(i)
+            if len(ran["caller"]) == 3:
+                release.set()
+        else:
+            ran["helper"].append(i)
+            assert release.wait(timeout=10.0)
+        return i
+
+    with ahead(item, zip(range(4)), 2) as results:
+        assert list(results) == [0, 1, 2, 3]
+    assert len(ran["helper"]) <= 1
+    assert sorted(ran["caller"] + ran["helper"]) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_ahead_starts_one_thread_fewer_than_it_uses(threads):
+    before = threading.active_count()
+    alive = []
+
+    def item(i):
+        alive.append(threading.active_count())
+        time.sleep(1e-3)
+        return i
+
+    with ahead(item, zip(range(20)), threads) as results:
+        assert list(results) == list(range(20))
+    assert max(alive) <= before + threads - 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_ahead_draws_items_on_the_calling_thread_at_most_two_per_thread_ahead(threads):
+    drawn, taken, drawers = [], [], set()
+
+    def items():
+        for i in range(30):
+            drawers.add(threading.get_ident())
+            drawn.append(i)
+            yield (i,)
+
+    with ahead(lambda i: i, items(), threads) as results:
+        for r in results:
+            taken.append(r)
+            assert len(drawn) <= len(taken) + 2 * threads
+    assert taken == list(range(30))
+    assert drawers == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("who", ["caller", "helper"])
+def test_ahead_raises_an_item_error_in_order_and_joins_its_helper(who):
+    # both threads run an item at once, then the first item that the
+    # chosen thread runs fails
+    caller = threading.get_ident()
+    failed = []
+
+    def item(i):
+        if (threading.get_ident() == caller) == (who == "caller") and not failed:
+            failed.append(i)
+            raise ValueError(f"item {i}")
+        return i
+
+    met, threads = meet_on_two_threads(item)
+    before = threading.active_count()
+    got = []
+    with pytest.raises(ValueError) as raised:
+        with ahead(met, zip(range(10)), 2) as results:
+            got.extend(results)
+    assert (caller in threads) and len(set(threads)) == 2
+    assert str(raised.value) == f"item {failed[0]}"
+    assert got == list(range(failed[0]))
+    assert threading.active_count() == before
+
+
+def test_ahead_early_exit_runs_no_unstarted_item():
+    started, drawn = [], []
+
+    def items():
+        for i in range(100):
+            drawn.append(i)
+            yield (i,)
+
+    def item(i):
+        started.append(i)
+        return i
+
+    met, _ = meet_on_two_threads(item)
+    before = threading.active_count()
+    with ahead(met, items(), 2) as results:
+        assert next(results) == 0
+    assert len(drawn) <= 1 + 4
+    seen = list(started)
+    time.sleep(0.05)
+    assert started == seen and set(started) <= set(drawn)
+    assert threading.active_count() == before
+
+
+def test_ahead_inside_an_item_runs_in_line_on_either_thread():
+    before = threading.active_count()
+    alive = []
+
+    def item(i):
+        ran = []
+
+        def leaf(j):
+            ran.append(threading.get_ident())
+            alive.append(threading.active_count())
+            return j
+
+        with ahead(leaf, zip(range(6)), 2) as results:
+            assert list(results) == list(range(6))
+        assert ran == [threading.get_ident()] * 6  # in line, on the item's thread
+        return ran[0]
+
+    met, _ = meet_on_two_threads(item)
+    with ahead(met, zip(range(6)), 2) as results:
+        outer = list(results)
+    assert threading.get_ident() in outer and len(set(outer)) == 2
+    assert max(alive) <= before + 1
+    assert threading.active_count() == before
+    # outside any item the calling thread maps on two threads again
+    met, threads = meet_on_two_threads(lambda i: i)
+    with ahead(met, zip(range(4)), 2) as results:
+        assert list(results) == list(range(4))
+    assert len(set(threads)) == 2
+
+
+def test_ahead_items_do_not_see_the_callers_error_state():
+    met, threads = meet_on_two_threads(lambda i: np.geterr()["over"])
+    with np.errstate(over="raise"), ahead(met, zip(range(4)), 2) as results:
+        assert list(results) == ["warn"] * 4  # numpy's default, as on a new thread
+    assert threading.get_ident() in threads and len(set(threads)) == 2
