@@ -28,60 +28,58 @@ chunk's generator draws in this order: those input normals, the
 chi-square, then each layer's weight noise.  A first layer with ``h >= d``
 rows draws all ``d`` input coordinates directly.
 
-Votes are drawn in chunks of ``_CHUNK`` = 512.  A call takes a vote key
+Votes are drawn in chunks of ``_CHUNK`` = 512.  A vote key is
 ``(base_seed, phase, *indices)`` -- ``PHASE_SELECTION`` and
 ``PHASE_ESTIMATION`` for ``certify``, ``PHASE_MARGIN`` for the margin loss
--- and chunk ``c`` draws from its own SFC64 generator,
-``rng.vote_stream(key, c)``, built on the calling thread in chunk order.
-Chunks share no draws, and integer tallies add up exactly, so the sum of
-the chunks' tallies in any order is the call's tally.  Sampling is
-deterministic given the model, input and key: identical keys reproduce
-identical votes bit-for-bit.  Non-finite inputs or weights are rejected
-rather than voted on.  Ties in the vote argmax always break to the lowest
-class index.
+-- and chunk ``c`` under a key draws from its own SFC64 generator,
+``rng.vote_stream(key, c)``.  Chunks share no draws, and integer tallies
+add up exactly.  Sampling is deterministic given the model, input and key:
+identical keys reproduce identical votes bit-for-bit.  Non-finite inputs or
+weights are rejected rather than voted on.  Ties in the vote argmax always
+break to the lowest class index.
 
 The sampler draws a block of inputs at once: ``b`` votes for each row, row
 ``j``'s from its own generator, stacked in row order, with the products,
-norms and ReLUs run once over the whole block.  ``certify`` and
-``sample_under_noise`` pass a block of one input, one chunk at a time.
-``empirical_margin_loss`` packs ``max(1, _MARGIN_BLOCK // num)`` examples
-into a block (20 at 200 votes), and draws the block chunk by chunk: chunk
-``c`` of every example in the block at once, so a draw holds at most
-``_MARGIN_BLOCK`` = 4096 votes.  4,096 votes rather than 1,024 make a
-block's ~60 short numpy calls, each of which may hand the GIL to another
-thread, a quarter as many per vote; the price is memory: a serial call on
-785->32^3->10 peaks at 2.1 MB of arrays with 4,000-vote blocks, against
-0.58 MB with 1,000-vote blocks, and each thread runs one block.  Example
-``i`` always draws chunk ``c`` from
-``rng.vote_stream((base_seed, PHASE_MARGIN, i), c)``.
-A generator's draws do not depend on the block, but BLAS picks its kernel
-by the product's size, so the logits of a many-row block can differ from a
-one-row block's by about 1e-15.
+norms and ReLUs run once over the whole block.  A generator's draws do not
+depend on the block, but BLAS picks its kernel by the product's size, so
+the logits of a many-row block can differ from a one-row block's by about
+1e-15.
+
+One loop, ``_tallies``, drives the sampler for ``sample_under_noise`` (and
+so ``certify``) and for ``empirical_margin_loss``; the two differ only in
+how they score a chunk's logits.  The rows go in blocks of ``max(1,
+_BLOCK_VOTES // num)``: one row for certify's calls, 20 examples for the
+margin loss at 200 votes.  Each item of the loop is chunk ``c`` of one
+block, that chunk of every row in the block drawn at once, so a draw holds
+at most ``_BLOCK_VOTES`` = 4096 votes.  4,096 votes rather than 1,024 make
+the ~60 short numpy calls of a draw, each of which may hand the GIL to
+another thread, a quarter as many per vote; the price is memory: a serial
+margin loss of 1024 examples on 785->32^3->10 peaks at 2.2 MB of arrays in
+4,000-vote blocks, against 0.77 MB in 1,000-vote ones.  The calling
+thread builds each block's sampler (which checks the input and the model)
+and each item's generators: block by block, chunk by chunk, and in row
+order within a chunk.  The items run over ``train.ahead`` on one thread
+per usable core, at most one per item, when a vote costs at least
+``_THREAD_MIN_MACS`` multiply-adds (smaller models stay on the calling
+thread); the calling thread is one of those threads.  The integer per-row
+counts are summed in item order, so the result does not depend on the
+thread count.  A call made inside another ``ahead``'s item, such as a
+sample of ``certify --workers``, runs its items in line on that item's
+thread.
 
 Every vote product goes through ``_product``, which multiplies in equal row
 slices small enough that OpenBLAS keeps each dgemm on the calling thread
 (``_SERIAL_MNK``).  Its own threads would otherwise wake for each vote
 product and compete for the cores with the threads that call the sampler:
-``cli``'s ``certify --workers``, the certify chunks and the margin loss.
-``sample_under_noise`` maps its chunks, and ``empirical_margin_loss`` its
-blocks, over ``train.ahead`` with one thread per usable core, at most one
-per chunk or block (when a vote costs at least ``_THREAD_MIN_MACS``
-multiply-adds; smaller models stay on the calling thread), and each sums
-the integer tallies or miss counts, so its result does not depend on the
-thread count.  The calling thread is one of those threads: it builds each
-sampler (which checks the input and the model) and the generators, in
-example and chunk order, and between those it draws, multiplies and
-tallies or scores chunks and blocks as the helper threads do.  A call made
-inside another ``ahead``'s item, such as a sample of ``certify
---workers``, runs its chunks in line on that item's thread.
+the loop's and ``cli``'s ``certify --workers``.
 
 Two 512-vote chunks in flight hold about what one 1024-vote chunk held, but
 only with small ufunc buffers: numpy 2.x allocates an 8192-element (64 KB)
 iteration buffer for each broadcasting ufunc call, such as ``e *=
 scale[:, None]`` in ``_add_weight_noise`` and the ``np.add`` of ``C`` in
-``draw``.  ``sample_under_noise`` tallies each chunk under
-``np.setbufsize(_CHUNK_BUFSIZE)`` and restores the size after it (the
-setting is per thread); the logits do not depend on the buffer size.
+``draw``.  So each item is tallied under ``np.setbufsize(_CHUNK_BUFSIZE)``,
+and the size is restored after it (the setting is per thread); the logits
+do not depend on the buffer size.
 """
 
 from __future__ import annotations
@@ -100,20 +98,20 @@ from .train import _usable_cores, ahead
 ABSTAIN = -1
 
 _CHUNK = 512
-# Ufunc buffer size, in elements, while a certify chunk is tallied (see the
-# module docstring).  On 2 Xeon cores at one BLAS thread, a certify call on
-# 785->32^3->10 with two 512-vote chunks in flight peaked at 0.670 MB of
-# arrays under numpy's default 8192 and at 0.560 MB under 1024, against
+# Ufunc buffer size, in elements, while an item of the vote loop is tallied
+# (see the module docstring).  On 2 Xeon cores at one BLAS thread, a certify
+# call on 785->32^3->10 with two 512-vote chunks in flight peaked at 0.670 MB
+# of arrays under numpy's default 8192 and at 0.560 MB under 1024, against
 # 0.583 MB for one 1024-vote chunk at a time.
 _CHUNK_BUFSIZE = 1024
-# Most votes in one of the margin loss's blocks, so that a block's ~60 numpy
-# calls, each of which may hand the GIL to the other thread, are shared by
-# 20 examples at 200 votes instead of 5.  On 2 Xeon cores at one BLAS
-# thread, 1024 digits examples x 200 votes took 7,600-8,000 voluntary
+# Most votes in one draw of a block of rows, so that a draw's ~60 numpy
+# calls, each of which may hand the GIL to the other thread, are shared by 20
+# margin-loss examples at 200 votes instead of 5.  On 2 Xeon cores at one
+# BLAS thread, 1024 digits examples x 200 votes took 7,600-8,000 voluntary
 # context switches per threaded call in 1,000-vote blocks and 2,800-2,900 in
 # 4,000-vote ones; 8,000-vote blocks were a little faster still, at twice
 # the memory (see the module docstring).
-_MARGIN_BLOCK = 4096
+_BLOCK_VOTES = 4096
 
 # Largest m * n * k of a vote product run as one dgemm.  OpenBLAS 0.3.31
 # (scipy-openblas, 2 Xeon cores) runs a dgemm on the calling thread below
@@ -124,15 +122,15 @@ _SERIAL_MNK = 1 << 18
 # = 2048 weights (64 x 64, say) is multiplied whole: 1024 rows of 64 x 64 in
 # 64-row slices took 1.4-1.8x the whole product's time at one BLAS thread.
 _MIN_SLICE_ROWS = 128
-# Fewest multiply-adds per vote (the model's weights) for which certify's
-# chunks and the margin loss's blocks are spread over the cores.  A block of
-# a smaller model is ~60 numpy calls of a few microseconds each, so the
-# threads mostly hand the GIL over, and whether that pays hangs on the other
-# core being free.  At one BLAS thread on 2 shared Xeon cores, two threads
-# took, as a share of the serial time (median, range), for 256 examples on
-# 17->32^3->3 (2,688 weights) 0.74 (0.66-0.96) with the other core idle and
-# 1.01 (0.91-1.37) with a busy loop on it; for 1024 examples on
-# 785->32^3->10 (27,488 weights) 0.73 (0.64-0.98) and 0.93 (0.84-1.11).
+# Fewest multiply-adds per vote (the model's weights) for which the vote
+# loop's items are spread over the cores.  An item of a smaller model is ~60
+# numpy calls of a few microseconds each, so the threads mostly hand the GIL
+# over, and whether that pays hangs on the other core being free.  At one
+# BLAS thread on 2 shared Xeon cores, two threads took, as a share of the
+# serial time (median, range), for 256 examples on 17->32^3->3 (2,688
+# weights) 0.74 (0.66-0.96) with the other core idle and 1.01 (0.91-1.37)
+# with a busy loop on it; for 1024 examples on 785->32^3->10 (27,488
+# weights) 0.73 (0.64-0.98) and 0.93 (0.84-1.11).
 _THREAD_MIN_MACS = 1 << 13
 
 
@@ -300,21 +298,44 @@ def _add_weight_noise(A, scale, gens) -> None:
     A += e
 
 
-def _threads(model: MlpModel, tasks: int) -> int:
-    """Threads to map ``tasks`` vote chunks or blocks of ``model`` over: one
-    per usable core and at most one per task, or only the calling thread for
-    a model of fewer than ``_THREAD_MIN_MACS`` weights."""
-    if sum(w.size for w in model.layers) < _THREAD_MIN_MACS:
-        return 1
-    return min(_usable_cores(), tasks)
+def _tallies(model: MlpModel, X: np.ndarray, noise: NoiseConfig, keys: list, num: int,
+             score) -> np.ndarray:
+    """Integer counts (r, k) scored from ``num`` votes at each row of ``X``
+    (r, d): the vote loop of the module docstring.
 
-
-def _chunks(num: int) -> list[tuple[int, int]]:
-    """``(c, b)`` for each chunk of a ``num``-vote call: chunk ``c`` holds
-    ``b`` votes and draws from ``rng.vote_stream(key, c)``."""
+    Row ``i``'s chunk ``c`` draws from ``rng.vote_stream(keys[i], c)``.
+    ``score(Z, rows, b)`` turns the logits ``Z`` of one chunk of the block
+    ``X[rows]``, ``b`` votes per row stacked in row order, into the block's
+    (len(rows), k) counts, which may broadcast.
+    """
     if num < 1:
         raise ValueError("need at least one draw")
-    return [(c, min(_CHUNK, num - start)) for c, start in enumerate(range(0, num, _CHUNK))]
+    r = X.shape[0]
+    per_block = max(1, _BLOCK_VOTES // num)
+    sizes = [min(_CHUNK, num - start) for start in range(0, num, _CHUNK)]
+
+    def items():
+        for start in range(0, r, per_block):
+            rows = slice(start, min(start + per_block, r))
+            draw = _chunk_sampler(model, X[rows], noise)
+            for c, b in enumerate(sizes):
+                yield rows, b, draw, [rng.vote_stream(key, c) for key in keys[rows]]
+
+    def tally(rows: slice, b: int, draw, gens) -> tuple:
+        bufsize = np.setbufsize(_CHUNK_BUFSIZE)
+        try:
+            return rows, score(draw(b, gens), rows, b)
+        finally:
+            np.setbufsize(bufsize)
+
+    threads = 1
+    if sum(w.size for w in model.layers) >= _THREAD_MIN_MACS:
+        threads = min(_usable_cores(), -(-r // per_block) * len(sizes))
+    counts = np.zeros((r, model.out_dim), dtype=np.int64)
+    with ahead(tally, items(), threads) as results:
+        for rows, part in results:
+            counts[rows] += part
+    return counts
 
 
 def sample_under_noise(
@@ -324,24 +345,13 @@ def sample_under_noise(
 
     ``key`` is a vote key ``(base_seed, phase, *indices)``; see ``rng``.  Its
     first element is the seed: ``noise.base_seed`` is not read here.  The
-    chunks run on one thread per usable core for a model of at least
-    ``_THREAD_MIN_MACS`` weights; the tally does not depend on how many.
+    votes go through the vote loop as a block of one row, each chunk an
+    item (see the module docstring).
     """
-    draw = _chunk_sampler(model, np.asarray(x, dtype=np.float64)[None], noise)
-    chunks = _chunks(num)
     k = model.out_dim
-
-    def tally(b: int, gen: np.random.Generator) -> np.ndarray:
-        bufsize = np.setbufsize(_CHUNK_BUFSIZE)
-        try:
-            return np.bincount(np.argmax(draw(b, [gen]), axis=1), minlength=k)
-        finally:
-            np.setbufsize(bufsize)
-
-    gens = ((b, rng.vote_stream(key, c)) for c, b in chunks)
-    with ahead(tally, gens, _threads(model, len(chunks))) as tallies:
-        counts = sum(tallies, np.zeros(k, dtype=np.int64))
-    return VoteCounts(counts=tuple(int(c) for c in counts), draws=num)
+    counts = _tallies(model, np.asarray(x, dtype=np.float64)[None], noise, [key], num,
+                      lambda Z, rows, b: np.bincount(np.argmax(Z, axis=1), minlength=k))
+    return VoteCounts(counts=tuple(int(c) for c in counts[0]), draws=num)
 
 
 def lower_conf_bound(successes: int, draws: int, confidence: float) -> float:
@@ -429,21 +439,10 @@ def empirical_margin_loss(
     error.  Monotone non-decreasing in gamma at fixed seeds.
 
     Example ``i``'s chunk ``c`` of ``num`` votes draws from
-    ``rng.vote_stream((noise.base_seed, PHASE_MARGIN, i), c)``, in the
-    order input normals, the chi-square, then each layer's weight noise.
-    The examples go through the sampler in blocks of
-    ``max(1, _MARGIN_BLOCK // num)`` (the last block may hold fewer); a
-    block draws chunk ``c`` of all its examples at once, and those votes
-    are scored together and split per example by a reshape.  A draw thus
-    holds at most ``_MARGIN_BLOCK`` votes, so that each block's short numpy
-    calls, and the GIL hand-overs between threads that come with them, are
-    shared by up to 4,096 votes; a running 4,000-vote block on
-    785->32^3->10 peaks at about 2.1 MB of arrays, against 0.58 MB for a
-    1,000-vote one.  The block's products
-    may round differently from one example's, by about 1e-15 (see the
-    module docstring).  The blocks run on one thread per usable core when
-    the model has at least ``_THREAD_MIN_MACS`` weights (at most one per
-    block), and the result does not depend on how many threads there are.
+    ``rng.vote_stream((noise.base_seed, PHASE_MARGIN, i), c)``, and the
+    examples go through the vote loop of the module docstring, in blocks of
+    ``max(1, _BLOCK_VOTES // num)``.  A block's products may round
+    differently from one example's, by about 1e-15.
     """
     X, y = _labelled(model, inputs, labels)
     if gamma < 0.0 or not np.isfinite(gamma):
@@ -451,36 +450,21 @@ def empirical_margin_loss(
     k = model.out_dim
     if k == 1:
         return 0.0
-    chunks = _chunks(num)
-    per_block = max(1, _MARGIN_BLOCK // num)
     cols = np.arange(k)
 
-    def blocks():
-        for start in range(0, X.shape[0], per_block):
-            stop = min(start + per_block, X.shape[0])
-            draw = _chunk_sampler(model, X[start:stop], noise)
-            gens = [[rng.vote_stream((noise.base_seed, rng.PHASE_MARGIN, i), c) for c, _ in chunks]
-                    for i in range(start, stop)]
-            yield y[start:stop], draw, [(b, list(col)) for (_, b), col in zip(chunks, zip(*gens))]
+    def score(Z: np.ndarray, rows: slice, b: int) -> np.ndarray:
+        part = np.partition(Z, -2, axis=1)
+        top, second = part[:, -1], part[:, -2]
+        am = np.argmax(Z, axis=1)
+        max_others = np.where(cols[None, :] == am[:, None], second[:, None], top[:, None])
+        ind = Z + gamma > max_others
+        votes, label = np.arange(Z.shape[0]), np.repeat(y[rows], b)
+        ind[votes, label] = Z[votes, label] > max_others[votes, label] + gamma
+        return ind.reshape(-1, b, k).sum(axis=1)
 
-    def misses(ys, draw, chunk_gens) -> int:
-        counts = np.zeros((ys.shape[0], k), dtype=np.int64)
-        for b, gens in chunk_gens:
-            Z = draw(b, gens)
-            part = np.partition(Z, -2, axis=1)
-            top, second = part[:, -1], part[:, -2]
-            am = np.argmax(Z, axis=1)
-            max_others = np.where(cols[None, :] == am[:, None], second[:, None], top[:, None])
-            ind = Z + gamma > max_others
-            votes, label = np.arange(Z.shape[0]), np.repeat(ys, b)
-            ind[votes, label] = Z[votes, label] > max_others[votes, label] + gamma
-            counts += ind.reshape(ys.shape[0], b, k).sum(axis=1)
-        return int(np.count_nonzero(np.argmax(counts, axis=1) != ys))
-
-    threads = _threads(model, -(-X.shape[0] // per_block))
-    with ahead(misses, blocks(), threads) as results:
-        wrong = sum(results)
-    return wrong / X.shape[0]
+    keys = [(noise.base_seed, rng.PHASE_MARGIN, i) for i in range(X.shape[0])]
+    counts = _tallies(model, X, noise, keys, num, score)
+    return int(np.count_nonzero(np.argmax(counts, axis=1) != y)) / X.shape[0]
 
 
 def certified_accuracy_curve(predicted, radius, labels, radii) -> np.ndarray:

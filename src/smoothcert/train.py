@@ -28,11 +28,10 @@ bit-identical to it.  Small batches stay in that serial loop: see
 ``ahead`` is that ordered, bounded map, on ``threads`` threads of which the
 calling thread is one: it starts ``threads - 1`` helpers, and rather than
 wait for a result that is not ready it runs the first item no thread has
-started.  It has five callers: ``train``; ``cli``'s ``certify
---workers``, which maps its samples through it;
-``smoothing.sample_under_noise`` and ``smoothing.empirical_margin_loss``,
-which map their vote chunks and vote blocks through it with one thread per
-usable core when the model has enough weights; and
+started.  It has four callers: ``train``; ``cli``'s ``certify
+--workers``, which maps its samples through it; ``smoothing``'s vote loop,
+which maps the vote chunks of ``certify`` and of the margin loss through it
+with one thread per usable core when the model has enough weights; and
 ``sigma_select.select_sigma``, which maps its perturbation blocks through it
 with ``_usable_cores()`` threads when their first layers are stacked.  An
 ``ahead`` called inside an item, on a helper or on the calling thread,

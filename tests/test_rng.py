@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import meet_on_two_threads
 from smoothcert import data, nn, rng, smoothing
 from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
 from smoothcert.smoothing import NoiseConfig
@@ -153,12 +154,14 @@ def test_no_two_consumers_share_a_stream_key(monkeypatch):
     assert {k[1] for k in keys} == phases
 
 
-# 1024 and 2049 votes are two whole chunks and four and a bit
+# 1024 votes are two whole chunks in blocks of 4 examples, 1500 are three
+# chunks in blocks of 2, and 2049 four chunks and a bit, one example a block
 @pytest.mark.parametrize("num", [7, 200, 1024, 1500, 2049])
 def test_margin_loss_keys_one_stream_per_example_and_chunk_in_order(monkeypatch, num):
-    # many examples share a block when num <= _MARGIN_BLOCK // 2, yet
-    # example i still draws chunk c from its own key, and the keys come in
-    # example order, each example's chunks in order
+    # many examples share a block when num <= _BLOCK_VOTES // 2, yet
+    # example i still draws chunk c from its own key, and the keys come
+    # block by block, each block's chunks in order, and within a chunk in
+    # example order
     model = nn.init_model((5, 4, 3), seed=0)
     m = 11
     X = rng.stream(0, 99).standard_normal((m, 5))
@@ -166,25 +169,28 @@ def test_margin_loss_keys_one_stream_per_example_and_chunk_in_order(monkeypatch,
     smoothing.empirical_margin_loss(model, X, np.arange(m) % 3, 0.1,
                                     NoiseConfig(sigma_input=0.3, base_seed=4), num)
     chunks = -(-num // smoothing._CHUNK)
-    assert keys == [(4, rng.PHASE_MARGIN, i, c) for i in range(m) for c in range(chunks)]
+    per_block = max(1, smoothing._BLOCK_VOTES // num)
+    assert keys == [(4, rng.PHASE_MARGIN, i, c)
+                    for start in range(0, m, per_block) for c in range(chunks)
+                    for i in range(start, min(start + per_block, m))]
 
 
 def test_certify_builds_its_chunk_generators_on_the_calling_thread_in_order(monkeypatch):
     # the chunks are tallied on two threads, but every generator is built on
-    # the calling thread, selection's and then estimation's chunks in order
+    # the calling thread, selection's and then estimation's chunks in order.
+    # After selection's two products, two threads must run estimation chunks
+    # at once (see ``meet_on_two_threads``), so the check of the workers
+    # below does not hang on scheduling luck
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
     monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
-    built, products = [], set()
-    vote_stream, product = rng.vote_stream, smoothing._product
+    built = []
+    vote_stream = rng.vote_stream
 
     def record_vote(key, chunk):
         built.append((threading.get_ident(), (*key, chunk)))
         return vote_stream(key, chunk)
 
-    def record_product(A, w):
-        products.add(threading.get_ident())
-        return product(A, w)
-
+    record_product, calls = meet_on_two_threads(smoothing._product, after=2)
     monkeypatch.setattr(rng, "vote_stream", record_vote)
     monkeypatch.setattr(smoothing, "_product", record_product)
     model = nn.init_model((3, 4, 2), seed=0)
@@ -194,7 +200,7 @@ def test_certify_builds_its_chunk_generators_on_the_calling_thread_in_order(monk
     me = threading.get_ident()
     assert built == [(me, (0, rng.PHASE_SELECTION, 2, 0))] + [
         (me, (0, rng.PHASE_ESTIMATION, 2, c)) for c in range(7)]
-    assert products - {me}  # some chunks ran on the workers
+    assert set(calls) - {me}  # some chunks ran on the workers
 
 
 def test_certify_estimation_misses_the_shuffle_stream(monkeypatch):

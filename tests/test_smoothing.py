@@ -203,7 +203,8 @@ def test_certify_on_an_ahead_worker_runs_its_chunks_on_that_worker(monkeypatch):
 
 def test_chunk_logits_do_not_depend_on_the_ufunc_buffer_size(monkeypatch):
     # chunks are tallied under small ufunc buffers, which must change no bit;
-    # the caller's buffer size comes back, also when a chunk raises
+    # certify's and the margin loss's chunks run under them on every thread,
+    # and the caller's buffer size comes back, also when a chunk raises
     noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
     for dims in ((12, 3, 3), (4, 6, 3)):  # row-space, and h >= d
         model = rand_model(dims, seed=5)
@@ -218,17 +219,37 @@ def test_chunk_logits_do_not_depend_on_the_ufunc_buffer_size(monkeypatch):
                 np.setbufsize(before)
         assert np.array_equal(*logits)
 
+    product = smoothing._product
+    sizes = []
+
+    def recording_product(A, w):
+        sizes.append((threading.get_ident(), np.getbufsize()))
+        return product(A, w)
+
     def failing_product(A, w):
         raise RuntimeError("chunk failed")
 
+    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)  # thread this small model
+    X, y = np.stack([x, -x, 0.5 * x]), np.array([0, 1, 2])
+    calls = (lambda: sample_under_noise(model, x, 4 * _CHUNK, noise, (1,)),
+             lambda: empirical_margin_loss(model, X, y, 0.1, noise, 4 * _CHUNK))
     before = np.setbufsize(4096)  # the caller's own size
     try:
-        sample_under_noise(model, x, 2 * _CHUNK, noise, (1,))
-        assert np.getbufsize() == 4096
-        monkeypatch.setattr(smoothing, "_product", failing_product)
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            sample_under_noise(model, x, 2 * _CHUNK, noise, (1,))
-        assert np.getbufsize() == 4096
+        for cores in (1, 2):  # the calling thread alone, and with a helper
+            monkeypatch.setattr(smoothing, "_usable_cores", lambda: cores)
+            for call in calls:
+                sizes.clear()
+                recording = (meet_on_two_threads(recording_product)[0] if cores == 2
+                             else recording_product)
+                monkeypatch.setattr(smoothing, "_product", recording)
+                call()
+                assert np.getbufsize() == 4096
+                assert {size for _, size in sizes} == {_CHUNK_BUFSIZE}
+                assert len({thread for thread, _ in sizes}) == cores
+                monkeypatch.setattr(smoothing, "_product", failing_product)
+                with pytest.raises(RuntimeError, match="chunk failed"):
+                    call()
+                assert np.getbufsize() == 4096
     finally:
         np.setbufsize(before)
 
@@ -674,8 +695,9 @@ def test_batched_margin_loss_equals_per_example_loop(monkeypatch, dims, num, m):
     (1500, 5),           # three blocks of 2, 2 and 1 examples, three chunks each
 ])
 def test_margin_loss_does_not_depend_on_the_thread_count(monkeypatch, dims, num, m):
-    # the blocks' integer miss counts are summed, so spreading the blocks
-    # over any number of threads gives the same float
+    # each chunk of a block is an item, and the items' integer vote counts
+    # are summed per example, so spreading them over any number of threads
+    # gives the same float
     monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)  # thread these small models
     model = rand_model(dims, seed=9)
     g = rng.stream(29, 98)
