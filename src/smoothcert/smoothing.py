@@ -59,13 +59,16 @@ margin loss of 1024 examples on 785->32^3->10 peaks at 2.2 MB of arrays in
 thread builds each block's sampler (which checks the input and the model)
 and each item's generators: block by block, chunk by chunk, and in row
 order within a chunk.  The items run over ``train.ahead`` on one thread
-per usable core, at most one per item, when a vote costs at least
-``_THREAD_MIN_MACS`` multiply-adds (smaller models stay on the calling
-thread); the calling thread is one of those threads.  The integer per-row
-counts are summed in item order, so the result does not depend on the
-thread count.  A call made inside another ``ahead``'s item, such as a
-sample of ``certify --workers``, runs its items in line on that item's
-thread.
+per usable core, at most one per item, when one item (its rows times its
+chunk's votes times the model's weights) holds at least ``_ITEM_MIN_MACS``
+multiply-adds; the calling thread is one of those threads.  So the margin
+loss of the 17->32^3->3 blobs model (10.8M per item at 200 votes) runs on
+every core, and certify's 512-vote chunks of it (1.4M) stay on the calling
+thread; certify threads the chunks of models of 8,192 weights or more.
+The integer per-row counts are summed in item order, so the result does
+not depend on the thread count.  A call made inside another ``ahead``'s
+item, such as a sample of ``certify --workers``, runs its items in line on
+that item's thread.
 
 Every vote product goes through ``_product``, which multiplies in equal row
 slices small enough that OpenBLAS keeps each dgemm on the calling thread
@@ -122,16 +125,20 @@ _SERIAL_MNK = 1 << 18
 # = 2048 weights (64 x 64, say) is multiplied whole: 1024 rows of 64 x 64 in
 # 64-row slices took 1.4-1.8x the whole product's time at one BLAS thread.
 _MIN_SLICE_ROWS = 128
-# Fewest multiply-adds per vote (the model's weights) for which the vote
-# loop's items are spread over the cores.  An item of a smaller model is ~60
-# numpy calls of a few microseconds each, so the threads mostly hand the GIL
-# over, and whether that pays hangs on the other core being free.  At one
-# BLAS thread on 2 shared Xeon cores, two threads took, as a share of the
-# serial time (median, range), for 256 examples on 17->32^3->3 (2,688
-# weights) 0.74 (0.66-0.96) with the other core idle and 1.01 (0.91-1.37)
-# with a busy loop on it; for 1024 examples on 785->32^3->10 (27,488
-# weights) 0.73 (0.64-0.98) and 0.93 (0.84-1.11).
-_THREAD_MIN_MACS = 1 << 13
+# Fewest multiply-adds in one item of the vote loop (its rows times its
+# chunk's votes times the model's weights) for which the items are spread
+# over the cores.  While an item's ~60 numpy calls run, the threads hand the
+# GIL over, so short items gain only with the other core free.  At one BLAS
+# thread on 2 shared Xeon cores, two threads took, as a share of the serial
+# time (the medians of two sweeps of 9 alternating rounds), with the other
+# core idle and with a busy loop on it, on 17->32^3->3 (2,688 weights):
+# 0.55-0.60 and 0.77-0.92 for items of 20 x 200 or 8 x 512 votes
+# (10.8M-11.0M), 0.55-0.57 and 0.80-0.84 for 2,048 votes (5.5M), 0.64-0.69
+# and 0.90-0.91 for 1,024 votes (2.75M), and 0.67-0.73 and 1.01-1.04 for
+# certify's 512-vote chunks (1.4M), of which two in flight would also
+# double a certify call's arrays.  2^22 = 2^13 weights x 512 votes leaves
+# certify's chunks where they were.
+_ITEM_MIN_MACS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -298,15 +305,16 @@ def _add_weight_noise(A, scale, gens) -> None:
     A += e
 
 
-def _tallies(model: MlpModel, X: np.ndarray, noise: NoiseConfig, keys: list, num: int,
+def _tallies(model: MlpModel, X: np.ndarray, noise: NoiseConfig, key, num: int,
              score) -> np.ndarray:
     """Integer counts (r, k) scored from ``num`` votes at each row of ``X``
     (r, d): the vote loop of the module docstring.
 
-    Row ``i``'s chunk ``c`` draws from ``rng.vote_stream(keys[i], c)``.
-    ``score(Z, rows, b)`` turns the logits ``Z`` of one chunk of the block
-    ``X[rows]``, ``b`` votes per row stacked in row order, into the block's
-    (len(rows), k) counts, which may broadcast.
+    Row ``i``'s chunk ``c`` draws from ``rng.vote_stream(key(i), c)``; a
+    block's keys are built when the loop reaches it.  ``score(Z, rows, b)``
+    turns the logits ``Z`` of one chunk of the block ``X[rows]``, ``b``
+    votes per row stacked in row order, into the block's (len(rows), k)
+    counts, which may broadcast.
     """
     if num < 1:
         raise ValueError("need at least one draw")
@@ -318,8 +326,9 @@ def _tallies(model: MlpModel, X: np.ndarray, noise: NoiseConfig, keys: list, num
         for start in range(0, r, per_block):
             rows = slice(start, min(start + per_block, r))
             draw = _chunk_sampler(model, X[rows], noise)
+            keys = [key(i) for i in range(rows.start, rows.stop)]
             for c, b in enumerate(sizes):
-                yield rows, b, draw, [rng.vote_stream(key, c) for key in keys[rows]]
+                yield rows, b, draw, [rng.vote_stream(k, c) for k in keys]
 
     def tally(rows: slice, b: int, draw, gens) -> tuple:
         bufsize = np.setbufsize(_CHUNK_BUFSIZE)
@@ -329,7 +338,7 @@ def _tallies(model: MlpModel, X: np.ndarray, noise: NoiseConfig, keys: list, num
             np.setbufsize(bufsize)
 
     threads = 1
-    if sum(w.size for w in model.layers) >= _THREAD_MIN_MACS:
+    if min(per_block, r) * sizes[0] * sum(w.size for w in model.layers) >= _ITEM_MIN_MACS:
         threads = min(_usable_cores(), -(-r // per_block) * len(sizes))
     counts = np.zeros((r, model.out_dim), dtype=np.int64)
     with ahead(tally, items(), threads) as results:
@@ -349,7 +358,7 @@ def sample_under_noise(
     item (see the module docstring).
     """
     k = model.out_dim
-    counts = _tallies(model, np.asarray(x, dtype=np.float64)[None], noise, [key], num,
+    counts = _tallies(model, np.asarray(x, dtype=np.float64)[None], noise, lambda i: key, num,
                       lambda Z, rows, b: np.bincount(np.argmax(Z, axis=1), minlength=k))
     return VoteCounts(counts=tuple(int(c) for c in counts[0]), draws=num)
 
@@ -462,8 +471,8 @@ def empirical_margin_loss(
         ind[votes, label] = Z[votes, label] > max_others[votes, label] + gamma
         return ind.reshape(-1, b, k).sum(axis=1)
 
-    keys = [(noise.base_seed, rng.PHASE_MARGIN, i) for i in range(X.shape[0])]
-    counts = _tallies(model, X, noise, keys, num, score)
+    counts = _tallies(model, X, noise, lambda i: (noise.base_seed, rng.PHASE_MARGIN, i), num,
+                      score)
     return int(np.count_nonzero(np.argmax(counts, axis=1) != y)) / X.shape[0]
 
 

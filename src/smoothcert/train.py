@@ -31,7 +31,7 @@ wait for a result that is not ready it runs the first item no thread has
 started.  It has four callers: ``train``; ``cli``'s ``certify
 --workers``, which maps its samples through it; ``smoothing``'s vote loop,
 which maps the vote chunks of ``certify`` and of the margin loss through it
-with one thread per usable core when the model has enough weights; and
+with one thread per usable core when one chunk holds enough work; and
 ``sigma_select.select_sigma``, which maps its perturbation blocks through it
 with ``_usable_cores()`` threads when their first layers are stacked.  An
 ``ahead`` called inside an item, on a helper or on the calling thread,

@@ -182,7 +182,7 @@ def test_certify_builds_its_chunk_generators_on_the_calling_thread_in_order(monk
     # at once (see ``meet_on_two_threads``), so the check of the workers
     # below does not hang on scheduling luck
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
+    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)
     built = []
     vote_stream = rng.vote_stream
 

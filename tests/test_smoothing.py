@@ -96,7 +96,7 @@ def test_votes_do_not_depend_on_the_thread_count(monkeypatch, dims, n):
     # any number of threads gives the same counts; selection's 100 votes
     # are one chunk.  Threads switch every microsecond, so that they
     # interleave within each chunk.
-    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)  # thread these small models
+    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)  # thread these small models
     model = rand_model(dims, seed=10)
     x = rng.stream(30, 98).standard_normal(dims[0])
     noise = NoiseConfig(sigma_input=0.6, sigma_weight=0.4, base_seed=8)
@@ -118,21 +118,24 @@ def test_votes_do_not_depend_on_the_thread_count(monkeypatch, dims, n):
 
 
 def test_certify_threads_only_estimation_chunks_of_models_of_many_weights(monkeypatch):
-    # 12 -> 8 -> 8 -> 3 has 184 weights, 12 -> 96 -> 96 -> 3 has 10,656;
-    # selection's 100 votes are one chunk, on the calling thread either way.
-    # The calling thread runs estimation chunks too; threaded, the one
-    # helper runs chunks at the same time as it
+    # a 512-vote chunk is 94k multiply-adds on 12 -> 8 -> 8 -> 3 (184
+    # weights), 5.5M on 12 -> 96 -> 96 -> 3 (10,656) and 1.4M on the CLI's
+    # default 17 -> 32^3 -> 3 (2,688); selection's 100 votes are one chunk,
+    # on the calling thread either way.  The calling thread runs estimation
+    # chunks too; threaded, the one helper runs chunks at the same time as it
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
     product = smoothing._product
-    for hidden, threaded in ((8, False), (96, True)):
-        model = rand_model((12, hidden, hidden, 3), seed=3)
-        recording, calls = meet_on_two_threads(product, after=3 if threaded else math.inf)
+    for dims, threaded in (((12, 8, 8, 3), False), ((12, 96, 96, 3), True),
+                           ((17, 32, 32, 32, 3), False)):
+        model = rand_model(dims, seed=3)
+        depth = len(model.layers)  # selection's products
+        recording, calls = meet_on_two_threads(product, after=depth if threaded else math.inf)
         monkeypatch.setattr(smoothing, "_product", recording)
-        certify(model, np.ones(12), NoiseConfig(sigma_input=0.3), n_selection=100,
+        certify(model, np.ones(dims[0]), NoiseConfig(sigma_input=0.3), n_selection=100,
                 n_estimation=4 * _CHUNK)
-        assert calls[:3] == [threading.get_ident()] * 3
-        assert threading.get_ident() in calls[3:]
-        assert len(set(calls[3:])) == (2 if threaded else 1), hidden
+        assert calls[:depth] == [threading.get_ident()] * depth
+        assert threading.get_ident() in calls[depth:]
+        assert len(set(calls[depth:])) == (2 if threaded else 1), dims
 
 
 def test_certify_joins_its_chunk_threads_also_when_a_chunk_raises(monkeypatch):
@@ -140,7 +143,7 @@ def test_certify_joins_its_chunk_threads_also_when_a_chunk_raises(monkeypatch):
     x = np.linspace(-1.0, 1.0, 12)
     noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
+    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)
     start = threading.active_count()
     certify(model, x, noise, n_selection=100, n_estimation=6 * _CHUNK)
     assert threading.active_count() == start
@@ -169,7 +172,7 @@ def test_certify_on_an_ahead_worker_runs_its_chunks_on_that_worker(monkeypatch):
     # then run on the thread that certifies it, the calling thread or the
     # one helper, so no second map starts threads
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
+    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)
     model = rand_model((12, 3, 3), seed=3)
     model.row_basis  # computed before the threads meet it
     X = rng.stream(31, 98).standard_normal((6, 12))
@@ -229,7 +232,7 @@ def test_chunk_logits_do_not_depend_on_the_ufunc_buffer_size(monkeypatch):
     def failing_product(A, w):
         raise RuntimeError("chunk failed")
 
-    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)  # thread this small model
+    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)  # thread this small model
     X, y = np.stack([x, -x, 0.5 * x]), np.array([0, 1, 2])
     calls = (lambda: sample_under_noise(model, x, 4 * _CHUNK, noise, (1,)),
              lambda: empirical_margin_loss(model, X, y, 0.1, noise, 4 * _CHUNK))
@@ -698,7 +701,7 @@ def test_margin_loss_does_not_depend_on_the_thread_count(monkeypatch, dims, num,
     # each chunk of a block is an item, and the items' integer vote counts
     # are summed per example, so spreading them over any number of threads
     # gives the same float
-    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)  # thread these small models
+    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)  # thread these small models
     model = rand_model(dims, seed=9)
     g = rng.stream(29, 98)
     X = g.standard_normal((m, dims[0]))
@@ -718,7 +721,7 @@ def test_margin_loss_joins_its_threads_also_when_a_block_raises(monkeypatch):
     model, X, y = margin_fixture()
     noise = NoiseConfig(sigma_input=0.3, sigma_weight=0.2)
     monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(smoothing, "_THREAD_MIN_MACS", 0)
+    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)
     start = threading.active_count()
     empirical_margin_loss(model, X, y, 0.1, noise, num=200)
     assert threading.active_count() == start
@@ -744,9 +747,10 @@ def test_margin_loss_joins_its_threads_also_when_a_block_raises(monkeypatch):
 
 @pytest.mark.parametrize("hidden, threaded", [(8, False), (96, True)])
 def test_margin_loss_threads_only_models_of_many_weights(monkeypatch, hidden, threaded):
-    # 12 -> 8 -> 8 -> 3 has 184 weights, 12 -> 96 -> 96 -> 3 has 10,656.
-    # The calling thread scores blocks; threaded, the one helper scores
-    # blocks at the same time as it
+    # an item of 20 examples x 200 votes is 0.74M multiply-adds on
+    # 12 -> 8 -> 8 -> 3 (184 weights) and 43M on 12 -> 96 -> 96 -> 3
+    # (10,656).  The calling thread scores blocks; threaded, the one helper
+    # scores blocks at the same time as it
     model = rand_model((12, hidden, hidden, 3), seed=3)
     X = rng.stream(24, 98).standard_normal((30, 12))
     y = np.argmax(forward_batch(model, X)[0], axis=1)
@@ -757,6 +761,28 @@ def test_margin_loss_threads_only_models_of_many_weights(monkeypatch, hidden, th
     empirical_margin_loss(model, X, y, 0.1, NoiseConfig(sigma_input=0.3), num=200)
     assert threading.get_ident() in calls
     assert len(set(calls)) == (2 if threaded else 1)
+
+
+def test_margin_loss_of_the_default_blobs_model_runs_on_every_core(monkeypatch):
+    # the CLI's default 17 -> 32^3 -> 3 has 2,688 weights, so an item of 20
+    # examples x 200 votes is 10.8M multiply-adds: two threads score its
+    # three blocks at once, and the loss does not depend on the core count
+    model = rand_model((17, 32, 32, 32, 3), seed=4)
+    X = rng.stream(26, 98).standard_normal((45, 17))
+    y = np.argmax(forward_batch(model, X)[0], axis=1)
+    y[::3] = (y[::3] + 1) % 3
+    noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.2, base_seed=3)
+    product = smoothing._product
+    losses = set()
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(smoothing, "_usable_cores", lambda: cores)
+        recording, calls = meet_on_two_threads(product, after=0 if cores > 1 else math.inf)
+        monkeypatch.setattr(smoothing, "_product", recording)
+        losses.add(empirical_margin_loss(model, X, y, 0.1, noise, num=200))
+        assert threading.get_ident() in calls
+        assert (len(set(calls)) > 1) == (cores > 1), cores
+    assert len(losses) == 1
+    assert 0.0 < losses.pop() < 1.0
 
 
 def test_margin_loss_rejects_non_finite_weights_before_any_vote(monkeypatch):
