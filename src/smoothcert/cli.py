@@ -303,12 +303,10 @@ def _cmd_certify(cfg: dict) -> None:
 def _cmd_bound(cfg: dict) -> None:
     ds, X, model = _load_model_and_data(cfg)
     report = spectral.spectral_report(model)
-    hidden_dims = model.dims[1:-1]
-    h = cfg["h"] if cfg["h"] > 0 else (max(hidden_dims) if hidden_dims else model.out_dim)
-    inputs = BoundInputs(
+    inputs = BoundInputs(  # h: the widest hidden layer, or a one-layer model's output
         gamma=cfg["gamma"], delta=cfg["delta"], m=ds.m,
         B=float(np.linalg.norm(X, axis=1).max()),
-        n=model.n_layers, h=h, d=model.in_dim,
+        n=model.n_layers, h=max(model.dims[1:-1] or (model.out_dim,)), d=model.in_dim,
         per_layer_spectral=report.per_layer_spectral,
         per_layer_frobenius=report.per_layer_frobenius,
     )
@@ -517,8 +515,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", help="output directory (required)")
     b.add_argument("--gamma", type=_POS_FLOAT, help="margin (required, > 0)")
     b.add_argument("--delta", default=0.05, type=_PROB, help="confidence level")
-    b.add_argument("--h", default=0, type=_NONNEG_INT,
-                   help="hidden width override (0 = max hidden dim)")
     b.add_argument("--margin-votes", default=200, type=_POS_INT,
                    help="votes per example for the margin loss")
     b.add_argument("--margin-subset", default=1024, type=_POS_INT,

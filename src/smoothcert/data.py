@@ -215,8 +215,8 @@ def save_checkpoint(path, model: MlpModel, meta: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
     """Read a checkpoint back, bit-exactly; rejects bad magic, a header that
     is not a JSON object, future versions, dims that are not integers >= 1
-    or disagree with the file size (checked before any layer is read),
-    non-finite weights and trailing garbage."""
+    or disagree with the file size (checked before any layer is read) and
+    trailing garbage; non-finite weights are refused by ``MlpModel``."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -253,11 +253,6 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
                              f"weight bytes, {left} follow")
         if left > declared:
             raise ValueError(f"trailing bytes after the last layer ({left - declared})")
-        layers = []
-        for i in range(len(dims) - 1):
-            raw = f.read(8 * dims[i + 1] * dims[i])
-            layer = np.frombuffer(raw, dtype="<f8").reshape(dims[i + 1], dims[i])
-            if not np.isfinite(layer).all():
-                raise ValueError(f"non-finite weights in layer {i}")
-            layers.append(layer)
-    return MlpModel(tuple(layers)), meta
+        layers = tuple(np.frombuffer(f.read(8 * a * b), dtype="<f8").reshape(b, a)
+                       for a, b in zip(dims, dims[1:]))
+    return MlpModel(layers), meta

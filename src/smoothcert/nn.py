@@ -52,7 +52,8 @@ def _labelled(model: MlpModel, inputs, labels) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Immutable stack of float64 weight matrices, each shaped (out, in)."""
+    """Immutable stack of finite float64 weight matrices, each shaped (out,
+    in): the one check of the weights, so no consumer repeats it."""
 
     layers: tuple[Matrix, ...]
 
@@ -69,6 +70,8 @@ class MlpModel:
                     f"layer {i} input dim {w.shape[1]} != layer {i-1} output dim "
                     f"{prepared[-1].shape[0]}"
                 )
+            if not np.isfinite(w).all():
+                raise ValueError(f"non-finite weights in layer {i}")
             w.flags.writeable = False
             prepared.append(w)
         object.__setattr__(self, "layers", tuple(prepared))

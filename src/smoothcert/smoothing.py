@@ -34,9 +34,11 @@ Votes are drawn in chunks of ``_CHUNK`` = 512.  A vote key is
 -- and chunk ``c`` under a key draws from its own SFC64 generator,
 ``rng.vote_stream(key, c)``.  Chunks share no draws, and integer tallies
 add up exactly.  Sampling is deterministic given the model, input and key:
-identical keys reproduce identical votes bit-for-bit.  Non-finite inputs or
-weights are rejected rather than voted on.  Ties in the vote argmax always
-break to the lowest class index.
+identical keys reproduce identical votes bit-for-bit.  Non-finite inputs
+are rejected rather than voted on, once per call: ``sample_under_noise``
+checks its ``x`` and ``empirical_margin_loss`` its set (``nn._labelled``);
+``MlpModel`` refuses non-finite weights when it is built.  Ties in the vote
+argmax always break to the lowest class index.
 
 The sampler draws a block of inputs at once: ``b`` votes for each row, row
 ``j``'s from its own generator, stacked in row order, with the products,
@@ -56,12 +58,12 @@ the ~60 short numpy calls of a draw, each of which may hand the GIL to
 another thread, a quarter as many per vote; the price is memory: a serial
 margin loss of 1024 examples on 785->32^3->10 peaks at 2.2 MB of arrays in
 4,000-vote blocks, against 0.77 MB in 1,000-vote ones.  The calling
-thread builds each block's sampler (which checks the input and the model)
-and each item's generators: block by block, chunk by chunk, and in row
-order within a chunk.  The items run over ``train.ahead`` on one thread
-per usable core, at most one per item, when one item (its rows times its
-chunk's votes times the model's weights) holds at least ``_ITEM_MIN_MACS``
-multiply-adds; the calling thread is one of those threads.  So the margin
+thread builds each block's sampler and each item's generators: block by
+block, chunk by chunk, and in row order within a chunk.  The items run
+over ``train.ahead`` on one thread per usable core, at most one per item,
+when one item (its rows times its chunk's votes times the model's
+weights) holds at least ``_ITEM_MIN_MACS`` multiply-adds; the calling
+thread is one of those threads.  So the margin
 loss of the 17->32^3->3 blobs model (10.8M per item at 200 votes) runs on
 every core, and certify's 512-vote chunks of it (1.4M) stay on the calling
 thread; certify threads the chunks of models of 8,192 weights or more.
@@ -196,10 +198,11 @@ class CertifyResult:
 
 
 def _chunk_sampler(model, X, noise: NoiseConfig):
-    """Check the block ``X`` (r, d) and the model, and return
-    ``draw(b, gens)``: the logits (r * b, k) of ``b`` votes of the
-    jointly-perturbed network at each row of X, row ``j``'s votes drawn from
-    ``gens[j]`` and stacked in row order.
+    """``draw(b, gens)``: the logits (r * b, k) of ``b`` votes of the
+    jointly-perturbed network at each row of the float64 block ``X`` (r, d),
+    row ``j``'s votes drawn from ``gens[j]`` and stacked in row order.
+    ``X`` comes checked from the caller, and the model is finite by
+    construction.
 
     With ``(Q, P) = model.row_basis``, row ``x`` has the coordinates
     ``c = (Q.T x, ||x - Q Q.T x||)``, computed one row at a time; a vote
@@ -212,13 +215,6 @@ def _chunk_sampler(model, X, noise: NoiseConfig):
     identical logits.  The products, norms and ReLUs run over the whole
     block at once, the products in ``_product``'s row slices.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.in_dim:
-        raise ValueError(f"input shape {X.shape} incompatible with model input dim {model.in_dim}")
-    if not np.isfinite(X).all():
-        raise ValueError("input has non-finite entries")
-    if not all(np.isfinite(w).all() for w in model.layers):
-        raise ValueError("model has non-finite weights")
     si = float(noise.sigma_input)
     sw = float(noise.resolved_sigma_weight)
     if model.row_basis is None:
@@ -353,12 +349,18 @@ def sample_under_noise(
     """Tally argmax votes of the jointly-perturbed network over ``num`` draws.
 
     ``key`` is a vote key ``(base_seed, phase, *indices)``; see ``rng``.  Its
-    first element is the seed: ``noise.base_seed`` is not read here.  The
-    votes go through the vote loop as a block of one row, each chunk an
-    item (see the module docstring).
+    first element is the seed: ``noise.base_seed`` is not read here.  ``x``
+    must be a finite vector of the model's input dim.  The votes go through
+    the vote loop as a block of one row, each chunk an item (see the module
+    docstring).
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.in_dim,):
+        raise ValueError(f"input shape {x.shape} incompatible with model input dim {model.in_dim}")
+    if not np.isfinite(x).all():
+        raise ValueError("input has non-finite entries")
     k = model.out_dim
-    counts = _tallies(model, np.asarray(x, dtype=np.float64)[None], noise, lambda i: key, num,
+    counts = _tallies(model, x[None], noise, lambda i: key, num,
                       lambda Z, rows, b: np.bincount(np.argmax(Z, axis=1), minlength=k))
     return VoteCounts(counts=tuple(int(c) for c in counts[0]), draws=num)
 

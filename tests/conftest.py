@@ -1,8 +1,9 @@
 """Shared helpers: random models, argmax accuracy, loop-based reference
-forward pass, finite differences, a minimal IDX writer and a two-thread
-meeting point for threaded maps.  The reference implementations here stay
-deliberately dumb (python loops, no shortcuts) so they can serve as
-independent oracles."""
+forward pass, finite differences, a minimal IDX writer, a checkpoint
+weight patcher, the joint-noise test case and a two-thread meeting point
+for threaded maps.  The
+reference implementations here stay deliberately dumb (python loops, no
+shortcuts) so they can serve as independent oracles."""
 
 import struct
 import threading
@@ -25,6 +26,23 @@ def write_idx_pair(tmp_path, images, labels, rows, cols, stem="set"):
         f.write(struct.pack(">II", data.LABEL_MAGIC, len(labels)))
         f.write(np.asarray(labels, dtype=np.uint8).tobytes())
     return img, lab
+
+
+def with_weight(raw: bytes, index: int, value: float) -> bytes:
+    """A checkpoint's bytes with weight ``index`` (counted row-major across
+    the layers) set to ``value``: the way a non-finite weight, which
+    ``MlpModel`` refuses, gets into a file."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    at = 12 + hlen + 8 * index
+    return raw[:at] + struct.pack("<d", value) + raw[at + 8:]
+
+
+def joint_noise_case():
+    """A two-class linear model whose first layer (2 rows, 6 inputs) takes
+    the row-space path, and an input near its decision boundary."""
+    g = np.random.default_rng(3)
+    w = g.standard_normal((2, 6))
+    return w, 0.3 * g.standard_normal(6)
 
 
 def rand_model(dims, seed=0, scale=1.0):

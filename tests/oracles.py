@@ -9,10 +9,11 @@ plain float64 array type: eigenvalues come from classical Jacobi rotations
 summation (not the incomplete beta), output correlations from Monte-Carlo
 sampling (not the analytic cosine identity), votes from a fresh full
 weight-noise matrix and all d input coordinates per draw (not the projected,
-row-space sampler), and certified radii are probed by exhaustively re-voting
-on a perturbation grid.  ``grid_attack`` votes through the public
-``sample_under_noise`` on purpose: it attacks the certificate the package
-issues, not a re-implementation of it.
+row-space sampler), the joint-noise vote probability of a linear two-class
+model by quadrature (not sampling), and certified radii are probed by
+exhaustively re-voting on a perturbation grid.  ``grid_attack`` votes
+through the public ``sample_under_noise`` on purpose: it attacks the
+certificate the package issues, not a re-implementation of it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy import special, stats
 
 from smoothcert import rng
 from smoothcert.nn import Matrix, MlpModel
@@ -120,6 +122,47 @@ def reference_votes(
                 z = np.maximum(z, 0.0)
         counts[int(np.argmax(z))] += 1
     return VoteCounts(counts=tuple(counts), draws=num)
+
+
+def joint_vote_probability(w: Matrix, x, sigma_input: float, sigma_weight: float) -> float:
+    """P(vote 0) of the two-class one-layer linear model ``w`` (2, d) at
+    ``x`` under input noise ``sigma_input > 0`` and weight noise
+    ``sigma_weight >= 0``, by quadrature.
+
+    With ``dw = w[0] - w[1]``, ``u = dw / |dw|`` and ``a = u.x``, a noisy
+    input ``z`` has ``s = u.z = a + sigma_input * g`` and ``|z - s u|^2 =
+    sigma_input^2 T``, ``T ~ ncchi2(d - 1, |x - a u|^2 / sigma_input^2)``;
+    the two rows' weight noise differ along ``z`` by ``N(0, 2 sigma_weight^2
+    |z|^2)``.  So ``P = E[Phi(|dw| s / (sqrt(2) sigma_weight sqrt(s^2 +
+    sigma_input^2 T)))]``.  The integrand jumps at ``s = 0`` when the weight
+    noise is small (and steps there when it is zero), so ``s`` takes a
+    60-point Gauss-Legendre rule on each side of 0 within 12 ``sigma_input``
+    of ``a``.  ``T`` is the Poisson(lambda / 2) mixture of ``chi2(d - 1 +
+    2 j)``, each term a 60-point generalized Gauss-Laguerre rule.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if w.shape[0] != 2 or x.shape != (w.shape[1],) or not sigma_input > 0.0:
+        raise ValueError("need a (2, d) model, a (d,) input and sigma_input > 0")
+    dw = w[0] - w[1]
+    norm = np.linalg.norm(dw)
+    a = dw @ x / norm
+    lam = np.sum((x - a * dw / norm) ** 2) / sigma_input**2
+    scale = norm / (math.sqrt(2.0) * sigma_weight) if sigma_weight > 0 else math.inf
+    t, wt = np.polynomial.legendre.leggauss(60)
+    s, ws = [], []
+    for lo, hi in ((a - 12.0 * sigma_input, 0.0), (0.0, a + 12.0 * sigma_input)):
+        s.append((hi - lo) / 2.0 * t + (hi + lo) / 2.0)
+        ws.append(max(hi - lo, 0.0) / 2.0 * wt)
+    s = np.concatenate(s)[:, None]
+    ws = np.concatenate(ws) * stats.norm.pdf(s[:, 0], a, sigma_input)
+    total = 0.0
+    for j in range(int(stats.poisson.isf(1e-15, lam / 2.0)) + 1):
+        k = w.shape[1] - 1 + 2 * j
+        r, wr = special.roots_genlaguerre(60, k / 2.0 - 1.0)  # chi2(k) = 2 Gamma(k / 2)
+        f = special.ndtr(scale * s / np.sqrt(s * s + sigma_input**2 * 2.0 * r))
+        total += stats.poisson.pmf(j, lam / 2.0) * (ws @ f @ wr) / special.gamma(k / 2.0)
+    return float(total)
 
 
 def mc_correlation(

@@ -23,9 +23,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_idx_pair
+from conftest import with_weight, write_idx_pair
 from smoothcert import cli, data, smoothing
-from smoothcert.nn import MlpModel
 
 # small enough that the whole module runs in a few seconds
 DATA_FLAGS = ["--synth-k", "3", "--synth-d", "6", "--synth-m", "150",
@@ -300,11 +299,8 @@ def test_certify_bad_radius_grid_usage_error(checkpoint, tmp_path, flags):
 
 
 def test_certify_non_finite_checkpoint_exits_1(checkpoint, tmp_path, capsys):
-    model, meta = data.load_checkpoint(checkpoint)
-    layers = [w.copy() for w in model.layers]
-    layers[0][0, 0] = float("nan")
     bad = tmp_path / "bad.smcert"
-    data.save_checkpoint(bad, MlpModel(tuple(layers)), meta)
+    bad.write_bytes(with_weight(Path(checkpoint).read_bytes(), 0, float("nan")))
     out = tmp_path / "x"
     assert cli.main(certify_args(str(bad), out)) == 1
     assert "non-finite" in capsys.readouterr().err
@@ -709,7 +705,7 @@ _BAD_VALUES = [(cmd, flag, value) for cmd in ("train", "sigma", "certify", "boun
     ("certify", "n0", "0"), ("certify", "n", "0"), ("certify", "alpha", "1.5"),
     ("certify", "alpha", "0"), ("certify", "workers", "-3"), ("certify", "workers", "0"),
     ("certify", "radius-max", "-1"), ("certify", "radius-step", "0"),
-    ("bound", "gamma", "0"), ("bound", "delta", "1"), ("bound", "h", "-1"),
+    ("bound", "gamma", "0"), ("bound", "delta", "1"),
     ("bound", "margin-votes", "0"), ("bound", "margin-subset", "0"),
     ("bound", "empirical-loss", "1.5"), ("bound", "pa", "-0.1"), ("bound", "pb", "2"),
     # relations between options (the valid sigma argv has --grid-stop 0.02);

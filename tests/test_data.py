@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_idx_pair
+from conftest import with_weight, write_idx_pair
 from smoothcert import data
 from smoothcert.nn import MlpModel, init_model
 
@@ -288,9 +288,8 @@ def test_checkpoint_rejects_future_version(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_checkpoint_rejects_non_finite_weights(tmp_path, bad):
     path = tmp_path / "m.ckpt"
-    layer = np.ones((2, 3))
-    layer[1, 2] = bad
-    data.save_checkpoint(path, MlpModel((np.ones((3, 3)), layer)))
+    data.save_checkpoint(path, MlpModel((np.ones((3, 3)), np.ones((2, 3)))))
+    path.write_bytes(with_weight(path.read_bytes(), 9 + 5, bad))  # layer 1's [1, 2]
     with pytest.raises(ValueError, match="non-finite weights in layer 1"):
         data.load_checkpoint(path)
 

@@ -85,6 +85,17 @@ def test_row_basis_spans_first_layer_rows():
     assert rand_model((3, 5)).row_basis is None
 
 
+@pytest.mark.parametrize("layer", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_weights(layer, bad):
+    # train, select_sigma, spectral_report and the vote loop trust every
+    # model to be finite, so this is the one check of the weights
+    layers = [w.copy() for w in rand_model((4, 3, 3, 2), seed=1).layers]
+    layers[layer][-1, 1] = bad
+    with pytest.raises(ValueError, match=f"non-finite weights in layer {layer}"):
+        MlpModel(tuple(layers))
+
+
 # ---------------------------------------------------------------- backward
 
 def test_backward_zero_upstream_gives_zero_grads(tiny_model):

@@ -2,14 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from smoothcert import rng
 from smoothcert.nn import MlpModel
 from smoothcert.smoothing import NoiseConfig, certify
 from smoothcert.spectral import spectral_report
 
-from conftest import rand_model
-from oracles import binomial_tail, grid_attack, jacobi_eigs, mc_correlation
+from conftest import joint_noise_case, rand_model
+from oracles import (
+    binomial_tail,
+    grid_attack,
+    jacobi_eigs,
+    joint_vote_probability,
+    mc_correlation,
+)
 
 
 def model_of(*mats):
@@ -80,6 +87,25 @@ def test_binomial_tail_validates():
         binomial_tail(3, 2, 0.5)
     with pytest.raises(ValueError):
         binomial_tail(1, 2, 1.5)
+
+
+# ------------------------------------------------------------ joint noise
+
+def test_joint_vote_probability_matches_nested_quadrature():
+    # 0.5081865 is nested scipy.integrate.quad over s (split at s = 0) and T;
+    # an 80-node Gauss-Hermite rule over g, unsplit, reads 0.506892
+    w, x = joint_noise_case()
+    assert abs(joint_vote_probability(w, x, 0.5, 0.3) - 0.5081865) < 1e-6
+    dw = w[0] - w[1]
+    a = dw @ x / np.linalg.norm(dw)  # no weight noise: Phi(a / sigma_input)
+    assert joint_vote_probability(w, x, 0.5, 0.0) == pytest.approx(norm.cdf(a / 0.5), abs=1e-12)
+
+
+def test_joint_vote_probability_validates():
+    with pytest.raises(ValueError):
+        joint_vote_probability(np.ones((3, 4)), np.ones(4), 0.5, 0.3)
+    with pytest.raises(ValueError):
+        joint_vote_probability(np.ones((2, 4)), np.ones(4), 0.0, 0.3)
 
 
 # ------------------------------------------------------------ mc correlation
