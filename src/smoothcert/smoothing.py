@@ -61,12 +61,12 @@ margin loss of 1024 examples on 785->32^3->10 peaks at 2.2 MB of arrays in
 thread builds each block's sampler and each item's generators: block by
 block, chunk by chunk, and in row order within a chunk.  The items run
 over ``train.ahead`` on one thread per usable core, at most one per item,
-when one item (its rows times its chunk's votes times the model's
-weights) holds at least ``_ITEM_MIN_MACS`` multiply-adds; the calling
-thread is one of those threads.  So the margin
-loss of the 17->32^3->3 blobs model (10.8M per item at 200 votes) runs on
-every core, and certify's 512-vote chunks of it (1.4M) stay on the calling
-thread; certify threads the chunks of models of 8,192 weights or more.
+when one item's rows times its chunk's votes times the model's stored
+weights reach ``_ITEM_MIN_MACS``, the calling thread among them.  So the
+margin loss of the 17->32^3->3 blobs model (10.8M per item at 200 votes)
+runs on every core, certify's 512-vote chunks of it (1.4M) stay on the
+calling thread, and certify threads those of any model of 8,192 stored
+weights, which overstates a row-space model's work (``_ITEM_MIN_MACS``).
 The integer per-row counts are summed in item order, so the result does
 not depend on the thread count.  A call made inside another ``ahead``'s
 item, such as a sample of ``certify --workers``, runs its items in line on
@@ -139,7 +139,10 @@ _MIN_SLICE_ROWS = 128
 # and 0.90-0.91 for 1,024 votes (2.75M), and 0.67-0.73 and 1.01-1.04 for
 # certify's 512-vote chunks (1.4M), of which two in flight would also
 # double a certify call's arrays.  2^22 = 2^13 weights x 512 votes leaves
-# certify's chunks where they were.
+# certify's chunks where they were.  The stored weights overstate a
+# row-space model's work: a 785->32^3->10 certify chunk counts 512 x 27,488
+# = 14.1M, but the sampler multiplies only the 33-wide row-space image,
+# 512 x 3,424 = 1.75M, near the blobs chunk's 1.38M (1.4-1.8 and 1.2 ms).
 _ITEM_MIN_MACS = 1 << 22
 
 

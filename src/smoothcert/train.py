@@ -26,27 +26,24 @@ bit-identical to it.  Small batches stay in that serial loop: see
 ``_AHEAD_MIN_VALUES``.
 
 ``ahead`` is that ordered, bounded map, on ``threads`` threads of which the
-calling thread is one: it starts ``threads - 1`` helpers, and rather than
-wait for a result that is not ready it runs the first item no thread has
-started.  It has four callers: ``train``; ``cli``'s ``certify
---workers``, which maps its samples through it; ``smoothing``'s vote loop,
-which maps the vote chunks of ``certify`` and of the margin loss through it
-with one thread per usable core when one chunk holds enough work; and
-``sigma_select.select_sigma``, which maps its perturbation blocks through it
-with ``_usable_cores()`` threads when their first layers are stacked.  An
-``ahead`` called inside an item, on a helper or on the calling thread,
-runs in line, so a certify call mapped over the cores (``certify
---workers``) does not start threads of its own for its chunks.
+calling thread is one: each drawn item goes to a ``ThreadPoolExecutor`` of
+``threads - 1`` helpers, and cancelling its future claims it, so that
+whichever thread takes an item first runs it.  Its other callers are
+``cli``'s ``certify --workers`` (its samples), ``smoothing``'s vote loop
+(the vote chunks of ``certify`` and of the margin loss, when one chunk
+holds enough work) and ``select_sigma`` (its perturbation blocks, when
+their first layers are stacked).  An ``ahead`` called inside an item, on
+any thread, runs in line, so a certify call mapped over the cores
+(``certify --workers``) starts no threads of its own for its chunks.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import Context, ContextVar
 from dataclasses import dataclass
@@ -226,18 +223,20 @@ def _usable_cores() -> int:
 @contextmanager
 def ahead(fn: Callable, items: Iterable[tuple], threads: int) -> Iterator[Iterator]:
     """``map(fn, items)`` in order, on ``threads`` threads: the calling
-    thread and ``threads - 1`` helpers.
+    thread and a ``ThreadPoolExecutor`` of ``threads - 1`` helpers.
 
     ``items`` is advanced on the calling thread only, at most ``2 *
-    threads`` items ahead of the consumer.  When the next result is not
-    ready, the calling thread runs the first item that no thread has
-    started instead of waiting; it waits only when every drawn item has
-    started.  An item's error is raised in its turn.  The calling thread
-    runs its items in a context of their own, as a new thread would, so
-    the consumer's ``np.errstate`` reaches no item on any thread.  Leaving
-    the block drops the items not yet started and joins every helper.
-    Called inside an item, on any thread, the calls run in line: the outer
-    map already has the cores.
+    threads`` items ahead of the consumer, and submits each to the pool.
+    When the next result is not ready, the calling thread claims the first
+    drawn item no helper has started, by cancelling its future, and runs it
+    instead of waiting; it waits only when every drawn item has started.
+    An item's error is raised in its turn, a ``BaseException`` of the
+    calling thread's own item at once.  The calling thread runs its items
+    in a context of their own, as a new thread would, so the consumer's
+    ``np.errstate`` reaches no item on any thread.  Leaving the block
+    cancels the items not yet started and shuts the pool down.  Called
+    inside an item, on any thread, the calls run in line: the outer map
+    already has the cores.
     """
     if threads <= 1 or _in_item.get():
         yield starmap(fn, items)
@@ -246,69 +245,47 @@ def ahead(fn: Callable, items: Iterable[tuple], threads: int) -> Iterator[Iterat
 
 
 def _threaded(fn: Callable, items: Iterator[tuple], threads: int) -> Iterator[Iterator]:
-    """``ahead`` on threads: yields the ordered results once, then stops and
-    joins the helpers when it resumes or is closed.  Kept apart from
-    ``ahead`` so that the in-line path's frame holds none of this state."""
-    lock = threading.Lock()
-    work = threading.Condition(lock)
-    queued: deque[tuple[Future, tuple]] = deque()  # drawn, not yet started
-    stopped = False
+    """``ahead`` on threads, kept apart so that the in-line path's frame
+    holds none of this state; shuts the pool down when resumed or closed."""
     own = Context()
     own.run(_in_item.set, True)
+    # (future, slot) of each item drawn, not taken: the slot holds its args
+    # until a thread starts it, then its outcome until taken, then nothing
+    pending: deque[tuple[Future, list]] = deque()
 
-    def run(future: Future, args: tuple) -> None:
+    def start(slot: list) -> None:
+        # a BaseException leaves: on a helper through its future, else at once
+        args = slot.pop()
         try:
-            future.set_result(fn(*args))
+            slot.append((fn(*args), None))
         except Exception as e:
-            future.set_exception(e)
+            slot.append((None, e))
 
-    def helper() -> None:
-        _in_item.set(True)
-        while True:
-            with lock:
-                while not (queued or stopped):
-                    work.wait()
-                if stopped:
-                    return
-                future, args = queued.popleft()
-            try:
-                run(future, args)
-            except BaseException as e:
-                future.set_exception(e)
-
-    def draw(count: int) -> Iterator[Future]:
+    def draw(count: int) -> None:
         for args in islice(items, count):
-            future = Future()
-            with lock:
-                queued.append((future, args))
-                work.notify()
-            yield future
+            slot = [args]
+            pending.append((pool.submit(start, slot), slot))
 
     def results() -> Iterator:
-        pending = deque(draw(2 * threads))
+        draw(2 * threads)
         while pending:
-            head = pending.popleft()
-            while not head.done():
-                with lock:
-                    if not queued:
-                        break
-                    future, args = queued.popleft()
-                own.run(run, future, args)
-            result = head.result()
-            pending.extend(draw(1))
+            for future, slot in pending:
+                if pending[0][0].done():
+                    break
+                # the claim; cancel() is also true of an item claimed before
+                if not future.done() and future.cancel():
+                    own.run(start, slot)
+            future, slot = pending.popleft()
+            if not future.cancelled():
+                future.result()  # waits for the helper, raises its BaseException
+            result, error = slot.pop()
+            if error is not None:
+                raise error
+            draw(1)
             yield result
 
-    helpers: list[threading.Thread] = []
+    pool = ThreadPoolExecutor(threads - 1, initializer=_in_item.set, initargs=(True,))
     try:
-        for _ in range(threads - 1):
-            t = threading.Thread(target=helper)
-            t.start()
-            helpers.append(t)
         yield results()
     finally:
-        with lock:
-            stopped = True
-            queued.clear()
-            work.notify_all()
-        for t in helpers:
-            t.join()
+        pool.shutdown(cancel_futures=True)

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -384,6 +385,26 @@ def test_ahead_draws_items_on_the_calling_thread_at_most_two_per_thread_ahead(th
     assert drawers == {threading.get_ident()}
 
 
+def test_ahead_holds_no_result_the_consumer_has_moved_past():
+    # whichever thread ran the item, and while the pool still queues the
+    # items the calling thread claimed: training's results are its batches
+    class Box:
+        pass
+
+    refs = {}
+
+    def item(i):
+        box = Box()
+        refs[i] = weakref.ref(box)
+        return box
+
+    met, threads = meet_on_two_threads(item)
+    with ahead(met, zip(range(40)), 2) as results:
+        for k, _ in enumerate(results):
+            assert k == 0 or refs[k - 1]() is None
+    assert threading.get_ident() in threads and len(set(threads)) == 2
+
+
 @pytest.mark.parametrize("who", ["caller", "helper"])
 def test_ahead_raises_an_item_error_in_order_and_joins_its_helper(who):
     # both threads run an item at once, then the first item that the
@@ -409,8 +430,68 @@ def test_ahead_raises_an_item_error_in_order_and_joins_its_helper(who):
     assert threading.active_count() == before
 
 
-def test_ahead_early_exit_runs_no_unstarted_item():
-    started, drawn = [], []
+class Halt(BaseException):
+    """Not an ``Exception``, as ``KeyboardInterrupt`` and ``SystemExit``."""
+
+
+@pytest.mark.parametrize("who", ["caller", "helper"])
+def test_ahead_raises_a_base_exception_from_a_helper_in_turn_and_from_the_caller_at_once(who):
+    # From the helper, the first item it runs fails and is raised in its
+    # turn.  From the calling thread, the helper holds its first item until
+    # the calling thread fails on an item after it, which is raised before
+    # the helper's result is taken.  The map runs on a thread of its own,
+    # so that an error that never arrives fails the test instead of hanging.
+    caller, failed, held, finished = [], [], [], set()
+    release = threading.Event()
+
+    def item(i):
+        on_caller = threading.get_ident() == caller[0]
+        if who == "helper" and not on_caller and not failed:
+            failed.append(i)
+            raise Halt(i)
+        if who == "caller" and not on_caller and not held:
+            held.append(i)
+            assert release.wait(timeout=10.0)
+        if who == "caller" and on_caller and not set(range(i)) <= finished:
+            failed.append(i)
+            release.set()
+            raise Halt(i)
+        finished.add(i)
+        return i
+
+    met, threads = meet_on_two_threads(item)
+    got, raised = [], []
+
+    def consume():
+        caller.append(threading.get_ident())
+        try:
+            with ahead(met, zip(range(10)), 2) as results:
+                got.extend(results)
+        except Halt as e:
+            raised.append(e)
+
+    before = threading.active_count()
+    t = threading.Thread(target=consume, daemon=True)
+    t.start()
+    t.join(timeout=30.0)
+    assert not t.is_alive()
+    assert caller[0] in threads and len(set(threads)) == 2
+    assert [e.args for e in raised] == [(failed[0],)]
+    if who == "helper":
+        assert got == list(range(failed[0]))
+    else:
+        assert held[0] < failed[0] and got == list(range(held[0]))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_ahead_early_exit_runs_no_unstarted_item(threads):
+    # A helper holds each item but the first until the block is left, so
+    # the drawn items still queued then would start late if the exit left
+    # them to the helpers; on 3 threads more of them wait in the pool's queue
+    caller = threading.get_ident()
+    started, drawn, late = [], [], []
+    leaving = threading.Event()
 
     def items():
         for i in range(100):
@@ -419,16 +500,23 @@ def test_ahead_early_exit_runs_no_unstarted_item():
 
     def item(i):
         started.append(i)
+        if leaving.is_set():
+            late.append(i)
+        if i > 0 and threading.get_ident() != caller:
+            assert leaving.wait(timeout=10.0)
+            time.sleep(0.05)
         return i
 
     met, _ = meet_on_two_threads(item)
     before = threading.active_count()
-    with ahead(met, items(), 2) as results:
+    with ahead(met, items(), threads) as results:
         assert next(results) == 0
-    assert len(drawn) <= 1 + 4
+        leaving.set()
+    assert len(drawn) <= 1 + 2 * threads
     seen = list(started)
     time.sleep(0.05)
     assert started == seen and set(started) <= set(drawn)
+    assert late == []
     assert threading.active_count() == before
 
 
