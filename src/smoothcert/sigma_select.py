@@ -17,17 +17,19 @@ columns each perturbation then finishes on its own.  One wide product runs
 at about twice the rate of ``h0``-column ones.  The ``n_samples``
 perturbations are cut into the fewest equal blocks (sizes differ by at
 most one) of at most ``_BLOCK_COLS // h0`` perturbations, with a block
-count that is a multiple of the usable cores, and the blocks run on one
-thread per core through ``train.ahead``: 50 perturbations of a 32-row
-first layer make 4 blocks of 12 or 13 on two cores, so that no core idles
-on a short last block.  A running block holds its stacked first layers and
-their product, at most ``(d + m) * _BLOCK_COLS`` floats for ``m``
-evaluation examples (about 11 MB on 2000 x 785 digits), one block per
-thread.  The threads pay at one BLAS thread; at OpenBLAS's default thread
-count BLAS already runs each wide product on every core.  When ``h0 >= d``
-(the same shape test as ``MlpModel.row_basis``) the first product is no
-larger than the later ones and the wide result only spills the cache, so
-each block is one perturbation and the blocks run on the calling thread.
+count that is a multiple of the thread count, and the blocks run over
+``train.ahead`` on the threads ``train._threads`` gives for the largest
+block's normals, one per weight of each perturbation (16 x 27,488 on
+785->32^3->10): 50 perturbations of a 32-row first layer make 4 blocks of
+12 or 13 on two cores, so that no core idles on a short last block.  A
+running block holds its stacked first layers and their product, at most
+``(d + m) * _BLOCK_COLS`` floats for ``m`` evaluation examples (about 11
+MB on 2000 x 785 digits), one block per thread.  The threads pay at one
+BLAS thread; at OpenBLAS's default thread count BLAS already runs each
+wide product on every core.  When ``h0 >= d`` (the same shape test as
+``MlpModel.row_basis``) the first product is no larger than the later
+ones and the wide result only spills the cache, so each block is one
+perturbation.
 
 The calling thread makes every block's generators, in draw order, so every
 ``rng`` call stays on it, as in ``train`` and the margin loss, and it
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import rng
 from .nn import MlpModel, _labelled, forward_batch
-from .train import _usable_cores, ahead
+from .train import _threads, ahead
 
 _DROP_EPS = 1e-12
 _BLOCK_COLS = 512
@@ -130,9 +132,8 @@ def _perturbed_accuracies(model: MlpModel, X: np.ndarray, y: np.ndarray, sig: fl
     models, in draw order (see the module docstring)."""
     h0, d = model.layers[0].shape
     n = cfg.n_samples
-    stacked = h0 < d
-    threads = min(_usable_cores(), n) if stacked else 1
-    per_block = max(1, _BLOCK_COLS // h0) if stacked else 1
+    per_block = max(1, _BLOCK_COLS // h0) if h0 < d else 1
+    threads = _threads(min(per_block, n) * sum(w.size for w in model.layers), n)
     blocks = -(-n // per_block)
     blocks = -(-blocks // threads) * threads
     cuts = [n * i // blocks for i in range(blocks + 1)]

@@ -60,13 +60,14 @@ margin loss of 1024 examples on 785->32^3->10 peaks at 2.2 MB of arrays in
 4,000-vote blocks, against 0.77 MB in 1,000-vote ones.  The calling
 thread builds each block's sampler and each item's generators: block by
 block, chunk by chunk, and in row order within a chunk.  The items run
-over ``train.ahead`` on one thread per usable core, at most one per item,
-when one item's rows times its chunk's votes times the model's stored
-weights reach ``_ITEM_MIN_MACS``, the calling thread among them.  So the
-margin loss of the 17->32^3->3 blobs model (10.8M per item at 200 votes)
-runs on every core, certify's 512-vote chunks of it (1.4M) stay on the
-calling thread, and certify threads those of any model of 8,192 stored
-weights, which overstates a row-space model's work (``_ITEM_MIN_MACS``).
+over ``train.ahead`` on the threads ``train._threads`` gives for the
+normals one item draws: its rows times its chunk's votes times a vote's
+normals, the sampler's input width plus each layer's output dim.  So a
+vote draws 139 normals on 785->32^3->10 (33 + 106) and 116 on 17->32^3->3
+(17 + 99): certify's 512-vote chunks of the first (71,168 normals) and
+the margin loss's 20 x 200-vote items of both run on one thread per core,
+the calling thread among them, and certify's chunks of the second
+(59,392) on the calling thread.
 The integer per-row counts are summed in item order, so the result does
 not depend on the thread count.  A call made inside another ``ahead``'s
 item, such as a sample of ``certify --workers``, runs its items in line on
@@ -98,7 +99,7 @@ from scipy.special import betainc, betaincinv
 from . import rng
 from .bounds import vote_probability_gap
 from .nn import MlpModel, _labelled
-from .train import _usable_cores, ahead
+from .train import _threads, ahead
 
 ABSTAIN = -1
 
@@ -127,23 +128,6 @@ _SERIAL_MNK = 1 << 18
 # = 2048 weights (64 x 64, say) is multiplied whole: 1024 rows of 64 x 64 in
 # 64-row slices took 1.4-1.8x the whole product's time at one BLAS thread.
 _MIN_SLICE_ROWS = 128
-# Fewest multiply-adds in one item of the vote loop (its rows times its
-# chunk's votes times the model's weights) for which the items are spread
-# over the cores.  While an item's ~60 numpy calls run, the threads hand the
-# GIL over, so short items gain only with the other core free.  At one BLAS
-# thread on 2 shared Xeon cores, two threads took, as a share of the serial
-# time (the medians of two sweeps of 9 alternating rounds), with the other
-# core idle and with a busy loop on it, on 17->32^3->3 (2,688 weights):
-# 0.55-0.60 and 0.77-0.92 for items of 20 x 200 or 8 x 512 votes
-# (10.8M-11.0M), 0.55-0.57 and 0.80-0.84 for 2,048 votes (5.5M), 0.64-0.69
-# and 0.90-0.91 for 1,024 votes (2.75M), and 0.67-0.73 and 1.01-1.04 for
-# certify's 512-vote chunks (1.4M), of which two in flight would also
-# double a certify call's arrays.  2^22 = 2^13 weights x 512 votes leaves
-# certify's chunks where they were.  The stored weights overstate a
-# row-space model's work: a 785->32^3->10 certify chunk counts 512 x 27,488
-# = 14.1M, but the sampler multiplies only the 33-wide row-space image,
-# 512 x 3,424 = 1.75M, near the blobs chunk's 1.38M (1.4-1.8 and 1.2 ms).
-_ITEM_MIN_MACS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -336,9 +320,9 @@ def _tallies(model: MlpModel, X: np.ndarray, noise: NoiseConfig, key, num: int,
         finally:
             np.setbufsize(bufsize)
 
-    threads = 1
-    if min(per_block, r) * sizes[0] * sum(w.size for w in model.layers) >= _ITEM_MIN_MACS:
-        threads = min(_usable_cores(), -(-r // per_block) * len(sizes))
+    width = model.in_dim if model.row_basis is None else model.row_basis[1].shape[1]
+    per_vote = width + sum(w.shape[0] for w in model.layers)
+    threads = _threads(min(per_block, r) * sizes[0] * per_vote, -(-r // per_block) * len(sizes))
     counts = np.zeros((r, model.out_dim), dtype=np.int64)
     with ahead(tally, items(), threads) as results:
         for rows, part in results:

@@ -22,18 +22,19 @@ epoch boundaries, and the step takes them in plan order.  numpy releases
 the GIL while it fills and adds the arrays, so on a second core the draws
 overlap the forward, backward and SGD work.  The draws, their order and
 the arithmetic are those of a serial loop, so the weights are
-bit-identical to it.  Small batches stay in that serial loop: see
-``_AHEAD_MIN_VALUES``.
+bit-identical to it.  Batches of fewer than 2^16 noise values stay in
+that serial loop (``_threads``).
 
 ``ahead`` is that ordered, bounded map, on ``threads`` threads of which the
 calling thread is one: each drawn item goes to a ``ThreadPoolExecutor`` of
 ``threads - 1`` helpers, and cancelling its future claims it, so that
 whichever thread takes an item first runs it.  Its other callers are
 ``cli``'s ``certify --workers`` (its samples), ``smoothing``'s vote loop
-(the vote chunks of ``certify`` and of the margin loss, when one chunk
-holds enough work) and ``select_sigma`` (its perturbation blocks, when
-their first layers are stacked).  An ``ahead`` called inside an item, on
-any thread, runs in line, so a certify call mapped over the cores
+(the vote chunks of ``certify`` and of the margin loss) and
+``select_sigma`` (its perturbation blocks).  Training, the vote loop and
+the sigma search take their thread count from ``_threads``, which counts
+the normal deviates one item draws.  An ``ahead`` called inside an item,
+on any thread, runs in line, so a certify call mapped over the cores
 (``certify --workers``) starts no threads of its own for its chunks.
 """
 
@@ -63,12 +64,17 @@ from .nn import (
 )
 from .spectral import regularizer_and_gradient
 
-# Fewest noise values in one batch for which the batches are drawn ahead on
-# threads.  A hand-off costs more than a small draw.  On 2 Xeon cores at one
-# BLAS thread, CLI `train` on the default blobs (256x17 = 4352 values a
-# batch) took about 0.15 s in line and 0.20-0.30 s on a thread pool, while
-# on digits (256x785 = 201k values) the pool cut it from 1.87 to 1.17 s.
-_AHEAD_MIN_VALUES = 1 << 16
+# Fewest normal deviates drawn by one item for which ``_threads`` spreads
+# ``ahead``'s items over the cores: while an item's numpy calls run, the
+# threads hand the GIL over, so short items lose.  On 2 Xeon cores at one
+# BLAS thread, CLI `train` on the default blobs (4,352 normals a batch) took
+# 0.15 s in line and 0.20-0.30 s threaded; on digits (201k) threads cut it
+# from 1.87 to 1.17 s.  Two threads over the serial time, with the other
+# core idle / busy: 17->32^3->3 vote items of 464k normals 0.55-0.60 /
+# 0.77-0.92, 119k 0.64-0.69 / 0.90-0.91, certify's 512-vote chunks of 59k
+# 0.67-0.73 / 1.01-1.04 (two in flight would also double a certify call's
+# arrays); 785->32^3->10 chunks of 71k 0.72-0.79 / 0.96-1.02.
+_ITEM_MIN_NORMALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,8 +173,8 @@ def train(
             Xb = Xb + sigma * g.standard_normal(Xb.shape)
         return idx, Xb
 
-    noise_values = min(m, cfg.batch_size) * X.shape[1] if sigma > 0.0 else 0
-    threads = _usable_cores() if noise_values >= _AHEAD_MIN_VALUES else 1
+    normals = min(m, cfg.batch_size) * X.shape[1] if sigma > 0.0 else 0
+    threads = _threads(normals, cfg.epochs * n_batches)
     try:
         with np.errstate(over="raise", invalid="raise"), \
                 ahead(noisy_batch, plan(), threads) as batches:
@@ -218,6 +224,13 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _threads(normals: int, items: int) -> int:
+    """``ahead``'s thread count for ``items`` items of ``normals`` normal
+    deviates each: one per usable core and at most one per item once an item
+    draws ``_ITEM_MIN_NORMALS``, else the calling thread alone."""
+    return min(_usable_cores(), items) if normals >= _ITEM_MIN_NORMALS else 1
 
 
 @contextmanager

@@ -1,10 +1,11 @@
 """Shared helpers: random models, argmax accuracy, loop-based reference
 forward pass, finite differences, a minimal IDX writer, a checkpoint
-weight patcher, the joint-noise test case and a two-thread meeting point
-for threaded maps.  The
+weight patcher, the joint-noise test case, a two-thread meeting point
+for threaded maps and the module that holds the thread rule.  The
 reference implementations here stay deliberately dumb (python loops, no
 shortcuts) so they can serve as independent oracles."""
 
+import importlib
 import struct
 import threading
 
@@ -13,6 +14,11 @@ import pytest
 
 from smoothcert import data, rng
 from smoothcert.nn import MlpModel, forward_batch
+
+# ``train._threads`` gives training, the sigma search and the vote loop their
+# thread count, so tests patch its ``_usable_cores`` and ``_ITEM_MIN_NORMALS``
+# here; the package's own ``train`` attribute is the function
+train_module = importlib.import_module("smoothcert.train")
 
 
 def write_idx_pair(tmp_path, images, labels, rows, cols, stem="set"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import meet_on_two_threads
+from conftest import meet_on_two_threads, train_module
 from smoothcert import data, nn, rng, smoothing
 from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
 from smoothcert.smoothing import NoiseConfig
@@ -181,8 +181,8 @@ def test_certify_builds_its_chunk_generators_on_the_calling_thread_in_order(monk
     # After selection's two products, two threads must run estimation chunks
     # at once (see ``meet_on_two_threads``), so the check of the workers
     # below does not hang on scheduling luck
-    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)
     built = []
     vote_stream = rng.vote_stream
 

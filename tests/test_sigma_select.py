@@ -9,7 +9,7 @@ from smoothcert.nn import MlpModel, init_model
 from smoothcert.sigma_select import SigmaSearchConfig, SigmaSearchResult, select_sigma
 from smoothcert.train import TrainConfig, train
 
-from conftest import accuracy, meet_on_two_threads
+from conftest import accuracy, meet_on_two_threads, train_module
 
 
 def trained_toy():
@@ -159,9 +159,10 @@ def test_block_evaluation_matches_per_model_loop(monkeypatch, dims, n_samples):
                             n_samples=n_samples, tolerance=1.0, eval_subset=250,
                             full_scan=True, base_seed=2)
     expected = per_model_trace(model, X, y, cfg)
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)  # thread these small models
     # the sample counts divide neither the block size nor the core count
     for cores in (1, 2, 3):
-        monkeypatch.setattr(sigma_select, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
         res = select_sigma(model, X, y, cfg)
         assert res.trace == expected
         assert len(res.trace) == 3
@@ -196,7 +197,9 @@ def test_perturbations_run_in_equal_blocks_per_core(monkeypatch, dims, cores, si
     model = init_model(dims, seed=4)
     X = rng.stream(19, 1).standard_normal((60, dims[0]))
     y = np.arange(60) % 3
-    monkeypatch.setattr(sigma_select, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
+    if threaded:  # a block of 16 draws 16 x 1,376 = 22,016 normals; one of 11 -> 16 -> 3, 224
+        monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)
     got, threads = recording_blocks(monkeypatch, threaded)
     start = threading.active_count()
     select_sigma(model, X, y, SigmaSearchConfig(grid_start=0.01, grid_stop=0.01, n_samples=50))
@@ -212,7 +215,8 @@ def test_sigma_search_joins_its_threads_also_when_a_block_raises(monkeypatch):
     model = init_model((40, 32, 3), seed=4)
     X = rng.stream(19, 1).standard_normal((60, 40))
     y = np.zeros(60, dtype=int)
-    monkeypatch.setattr(sigma_select, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)  # thread this small model
     _, threads = recording_blocks(monkeypatch, threaded=True, fail_at=3)
     start = threading.active_count()
     with pytest.raises(RuntimeError, match="block failed"):

@@ -31,7 +31,7 @@ from smoothcert.smoothing import (
     sample_under_noise,
 )
 
-from conftest import joint_noise_case, meet_on_two_threads, rand_model
+from conftest import joint_noise_case, meet_on_two_threads, rand_model, train_module
 from oracles import binomial_tail, joint_vote_probability, reference_votes
 
 NO_NOISE = NoiseConfig(sigma_input=0.0, sigma_weight=0.0)
@@ -96,7 +96,7 @@ def test_votes_do_not_depend_on_the_thread_count(monkeypatch, dims, n):
     # any number of threads gives the same counts; selection's 100 votes
     # are one chunk.  Threads switch every microsecond, so that they
     # interleave within each chunk.
-    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)  # thread these small models
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)  # thread these small models
     model = rand_model(dims, seed=10)
     x = rng.stream(30, 98).standard_normal(dims[0])
     noise = NoiseConfig(sigma_input=0.6, sigma_weight=0.4, base_seed=8)
@@ -106,7 +106,7 @@ def test_votes_do_not_depend_on_the_thread_count(monkeypatch, dims, n):
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 2, 3):
-            monkeypatch.setattr(smoothing, "_usable_cores", lambda: threads)
+            monkeypatch.setattr(train_module, "_usable_cores", lambda: threads)
             votes.add(tuple(sample_under_noise(model, x, num, noise, key) for num in (100, n)))
             results.add(certify(model, x, noise, n_selection=100, n_estimation=n,
                                 sample_index=3))
@@ -118,15 +118,17 @@ def test_votes_do_not_depend_on_the_thread_count(monkeypatch, dims, n):
 
 
 def test_certify_threads_only_estimation_chunks_of_models_of_many_weights(monkeypatch):
-    # a 512-vote chunk is 94k multiply-adds on 12 -> 8 -> 8 -> 3 (184
-    # weights), 5.5M on 12 -> 96 -> 96 -> 3 (10,656) and 1.4M on the CLI's
-    # default 17 -> 32^3 -> 3 (2,688); selection's 100 votes are one chunk,
-    # on the calling thread either way.  The calling thread runs estimation
-    # chunks too; threaded, the one helper runs chunks at the same time as it
-    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
+    # a 512-vote chunk draws 512 x 28 = 14,336 normals on 12 -> 8 -> 8 -> 3
+    # (9 row-space input coordinates and 19 output dims a vote), 512 x 207 =
+    # 106k on 12 -> 96 -> 96 -> 3, 512 x 116 = 59,392 on the CLI's default
+    # 17 -> 32^3 -> 3 and 512 x 139 = 71,168 on 785 -> 32^3 -> 10;
+    # selection's 100 votes are one chunk, on the calling thread either way.
+    # The calling thread runs estimation chunks too; threaded, the one helper
+    # runs chunks at the same time as it
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
     product = smoothing._product
     for dims, threaded in (((12, 8, 8, 3), False), ((12, 96, 96, 3), True),
-                           ((17, 32, 32, 32, 3), False)):
+                           ((17, 32, 32, 32, 3), False), ((785, 32, 32, 32, 10), True)):
         model = rand_model(dims, seed=3)
         depth = len(model.layers)  # selection's products
         recording, calls = meet_on_two_threads(product, after=depth if threaded else math.inf)
@@ -142,8 +144,8 @@ def test_certify_joins_its_chunk_threads_also_when_a_chunk_raises(monkeypatch):
     model = rand_model((12, 3, 3), seed=3)
     x = np.linspace(-1.0, 1.0, 12)
     noise = NoiseConfig(sigma_input=0.5, sigma_weight=0.3)
-    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)
     start = threading.active_count()
     certify(model, x, noise, n_selection=100, n_estimation=6 * _CHUNK)
     assert threading.active_count() == start
@@ -171,8 +173,8 @@ def test_certify_on_an_ahead_worker_runs_its_chunks_on_that_worker(monkeypatch):
     # certify --workers maps its samples over train.ahead; a sample's chunks
     # then run on the thread that certifies it, the calling thread or the
     # one helper, so no second map starts threads
-    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)
     model = rand_model((12, 3, 3), seed=3)
     model.row_basis  # computed before the threads meet it
     X = rng.stream(31, 98).standard_normal((6, 12))
@@ -232,14 +234,14 @@ def test_chunk_logits_do_not_depend_on_the_ufunc_buffer_size(monkeypatch):
     def failing_product(A, w):
         raise RuntimeError("chunk failed")
 
-    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)  # thread this small model
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)  # thread this small model
     X, y = np.stack([x, -x, 0.5 * x]), np.array([0, 1, 2])
     calls = (lambda: sample_under_noise(model, x, 4 * _CHUNK, noise, (1,)),
              lambda: empirical_margin_loss(model, X, y, 0.1, noise, 4 * _CHUNK))
     before = np.setbufsize(4096)  # the caller's own size
     try:
         for cores in (1, 2):  # the calling thread alone, and with a helper
-            monkeypatch.setattr(smoothing, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
             for call in calls:
                 sizes.clear()
                 recording = (meet_on_two_threads(recording_product)[0] if cores == 2
@@ -715,7 +717,7 @@ def test_margin_loss_does_not_depend_on_the_thread_count(monkeypatch, dims, num,
     # each chunk of a block is an item, and the items' integer vote counts
     # are summed per example, so spreading them over any number of threads
     # gives the same float
-    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)  # thread these small models
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)  # thread these small models
     model = rand_model(dims, seed=9)
     g = rng.stream(29, 98)
     X = g.standard_normal((m, dims[0]))
@@ -726,7 +728,7 @@ def test_margin_loss_does_not_depend_on_the_thread_count(monkeypatch, dims, num,
         for gamma in (0.0, 0.3):
             losses = set()
             for threads in (1, 2, 3):
-                monkeypatch.setattr(smoothing, "_usable_cores", lambda: threads)
+                monkeypatch.setattr(train_module, "_usable_cores", lambda: threads)
                 losses.add(empirical_margin_loss(model, X, y, gamma, noise, num))
             assert len(losses) == 1, (sw, gamma, losses)
 
@@ -734,8 +736,8 @@ def test_margin_loss_does_not_depend_on_the_thread_count(monkeypatch, dims, num,
 def test_margin_loss_joins_its_threads_also_when_a_block_raises(monkeypatch):
     model, X, y = margin_fixture()
     noise = NoiseConfig(sigma_input=0.3, sigma_weight=0.2)
-    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(smoothing, "_ITEM_MIN_MACS", 0)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)
     start = threading.active_count()
     empirical_margin_loss(model, X, y, 0.1, noise, num=200)
     assert threading.active_count() == start
@@ -759,16 +761,17 @@ def test_margin_loss_joins_its_threads_also_when_a_block_raises(monkeypatch):
     assert threading.active_count() == start
 
 
-@pytest.mark.parametrize("hidden, threaded", [(8, False), (96, True)])
+@pytest.mark.parametrize("hidden, threaded", [(4, False), (5, True), (96, True)])
 def test_margin_loss_threads_only_models_of_many_weights(monkeypatch, hidden, threaded):
-    # an item of 20 examples x 200 votes is 0.74M multiply-adds on
-    # 12 -> 8 -> 8 -> 3 (184 weights) and 43M on 12 -> 96 -> 96 -> 3
-    # (10,656).  The calling thread scores blocks; threaded, the one helper
-    # scores blocks at the same time as it
+    # an item of 20 examples x 200 votes draws 4,000 x 16 = 64,000 normals
+    # on 12 -> 4 -> 4 -> 3 (5 row-space input coordinates and 11 output dims
+    # a vote), 4,000 x 19 = 76,000 on 12 -> 5 -> 5 -> 3 and 4,000 x 207 on
+    # 12 -> 96 -> 96 -> 3.  The calling thread scores blocks; threaded, the
+    # one helper scores blocks at the same time as it
     model = rand_model((12, hidden, hidden, 3), seed=3)
     X = rng.stream(24, 98).standard_normal((30, 12))
     y = np.argmax(forward_batch(model, X)[0], axis=1)
-    monkeypatch.setattr(smoothing, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
     recording, calls = meet_on_two_threads(smoothing._product,
                                            after=0 if threaded else math.inf)
     monkeypatch.setattr(smoothing, "_product", recording)
@@ -778,9 +781,9 @@ def test_margin_loss_threads_only_models_of_many_weights(monkeypatch, hidden, th
 
 
 def test_margin_loss_of_the_default_blobs_model_runs_on_every_core(monkeypatch):
-    # the CLI's default 17 -> 32^3 -> 3 has 2,688 weights, so an item of 20
-    # examples x 200 votes is 10.8M multiply-adds: two threads score its
-    # three blocks at once, and the loss does not depend on the core count
+    # the CLI's default 17 -> 32^3 -> 3 draws 116 normals a vote, so an item
+    # of 20 examples x 200 votes draws 464,000: two threads score its three
+    # blocks at once, and the loss does not depend on the core count
     model = rand_model((17, 32, 32, 32, 3), seed=4)
     X = rng.stream(26, 98).standard_normal((45, 17))
     y = np.argmax(forward_batch(model, X)[0], axis=1)
@@ -789,7 +792,7 @@ def test_margin_loss_of_the_default_blobs_model_runs_on_every_core(monkeypatch):
     product = smoothing._product
     losses = set()
     for cores in (1, 2, 3):
-        monkeypatch.setattr(smoothing, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
         recording, calls = meet_on_two_threads(product, after=0 if cores > 1 else math.inf)
         monkeypatch.setattr(smoothing, "_product", recording)
         losses.add(empirical_margin_loss(model, X, y, 0.1, noise, num=200))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import smoothcert
-from smoothcert import data, rng
+from smoothcert import data, rng, sigma_select, smoothing
 from smoothcert.nn import (
     backward_batch,
     cross_entropy_batch,
@@ -19,10 +19,12 @@ from smoothcert.nn import (
     plain_step,
     sgd_step,
 )
+from smoothcert.sigma_select import SigmaSearchConfig, select_sigma
+from smoothcert.smoothing import NoiseConfig, certify, empirical_margin_loss
 from smoothcert.spectral import regularizer_and_gradient, spectral_report
 from smoothcert.train import EpochMetrics, TrainConfig, TrainingDiverged, ahead, train
 
-from conftest import accuracy, meet_on_two_threads
+from conftest import accuracy, meet_on_two_threads, train_module
 
 
 def toy_problem(m=300, d=8, k=3, seed=6):
@@ -284,6 +286,59 @@ def test_no_thread_outlives_training(monkeypatch, m, d, batch):
              else os.cpu_count())
     pooled = batch * d >= 1 << 16 and cores > 1
     assert (seen["alive"] > before) == pooled
+
+
+# ------------------------------------------------------------ thread rule
+
+def test_threads_spread_items_of_2_16_normals_over_the_cores(monkeypatch):
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 4)
+    assert train_module._threads((1 << 16) - 1, 10) == 1
+    assert train_module._threads(1 << 16, 10) == 4
+    assert train_module._threads(1 << 16, 3) == 3  # at most one thread per item
+    assert train_module._threads(1 << 16, 1) == 1
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 1)
+    assert train_module._threads(1 << 30, 10) == 1
+
+
+DIGITS, BLOBS = (785, 32, 32, 32, 10), (17, 32, 32, 32, 3)  # the benchmark's models
+
+
+@pytest.mark.parametrize("phase, dims, want", [
+    ("train", DIGITS, [2]),        # a batch draws 256 x 785 = 200,960 normals
+    ("train", BLOBS, [1]),         # 256 x 17 = 4,352
+    ("sigma", DIGITS, [2]),        # a block of 16 perturbations, 16 x 27,488
+    ("sigma", BLOBS, [1]),         # h0 >= d: one perturbation a block, 2,688
+    ("certify", DIGITS, [1, 2]),   # selection's 100 votes, then 512-vote chunks of
+    ("certify", BLOBS, [1, 1]),    # 512 x 139 = 71,168 and 512 x 116 = 59,392 normals
+    ("margin", DIGITS, [2]),       # 20 examples x 200 votes x 139 = 556,000
+    ("margin", BLOBS, [2]),        # 20 x 200 x 116 = 464,000
+])
+def test_thread_rule_decides_each_phase_from_shapes(monkeypatch, phase, dims, want):
+    # the thread count each phase hands ``ahead`` on two cores; the items
+    # then run in line, so nothing here depends on timing
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+    seen = []
+
+    def recording(fn, items, threads):
+        seen.append(threads)
+        return ahead(fn, items, 1)
+
+    module = {"train": train_module, "sigma": sigma_select}.get(phase, smoothing)
+    monkeypatch.setattr(module, "ahead", recording)
+    model = init_model(dims, seed=1)
+    X = rng.stream(40, 98).standard_normal((512, dims[0]))
+    y = np.arange(512) % dims[-1]
+    noise = NoiseConfig(sigma_input=0.3)
+    if phase == "train":  # two batches
+        train(model, X, y, TrainConfig(epochs=1, lr=0.01, lr_drops=()))
+    elif phase == "sigma":
+        select_sigma(model, X, y, SigmaSearchConfig(grid_start=0.01, grid_stop=0.01,
+                                                    eval_subset=40))
+    elif phase == "certify":
+        certify(model, X[0], noise, n_selection=100, n_estimation=2 * smoothing._CHUNK)
+    else:  # two blocks
+        empirical_margin_loss(model, X[:40], y[:40], 0.1, noise, 200)
+    assert seen == want
 
 
 # ------------------------------------------------------------ ahead
