@@ -19,9 +19,9 @@ certifies its sample.
 
 Exit codes: 0 success, 1 computational/runtime failure (malformed or empty
 data, checkpoint and report input files among them), 2 bad flags, config
-values, SMOOTHCERT_SEED, a ``certify`` radius grid of more than
-``MAX_RADII`` points or ``report`` directories sharing a basename (before
-any data is read or ``--out`` is created).
+values, SMOOTHCERT_SEED, a ``sigma`` variance grid or ``certify`` radius
+grid of more than ``MAX_RADII`` points or ``report`` directories sharing a
+basename (before any data is read or ``--out`` is created).
 Every command creates ``--out`` only once its computation has succeeded,
 so a failed run leaves none behind.
 """
@@ -42,7 +42,7 @@ import numpy as np
 from . import data, plot, smoothing, spectral
 from .bounds import BoundInputs, _tau_psi, evaluate_bound
 from .nn import _labelled, init_model
-from .sigma_select import SigmaSearchConfig, select_sigma
+from .sigma_select import SigmaSearchConfig, _grid, select_sigma
 from .smoothing import ABSTAIN, NoiseConfig
 from .train import TrainConfig, ahead, train
 
@@ -50,7 +50,7 @@ SAMPLES_HEADER = ["sample_index", "label", "predicted", "abstain", "pa_lower", "
 CURVE_HEADER = ["radius", "accuracy"]
 METRICS_HEADER = ["epoch", "loss", "train_acc", "reg_value", "seconds"]
 TRACE_HEADER = ["sigma2", "mean_drop"]
-MAX_RADII = 10**6  # curve grid points; the default grid has 201
+MAX_RADII = 10**6  # points in a variance or radius grid; the defaults have 100 and 201
 
 
 # --------------------------------------------------------------- options ---
@@ -282,8 +282,7 @@ def _cmd_certify(cfg: dict) -> None:
         rows = [(r.predicted, r.pa_lower, r.radius) for r in results]
 
     labels = ds.labels
-    steps = int(round(cfg["radius_max"] / cfg["radius_step"]))
-    radii = [i * cfg["radius_step"] for i in range(steps + 1)]
+    radii = _grid(0.0, cfg["radius_max"], cfg["radius_step"]).tolist()
     predicted, _, radius = zip(*rows)
     accs = smoothing.certified_accuracy_curve(predicted, radius, labels, radii)
     curve = list(zip(radii, (float(a) for a in accs)))
@@ -327,6 +326,14 @@ def _cmd_bound(cfg: dict) -> None:
     tag = " (vacuous)" if bound.vacuous else ""
     print(f"bound = {bound.bound_value:.6f}{tag}, kl = {bound.kl_term:.6g}, "
           f"psi = {bound.psi:.6g}")
+
+
+def _check_grid(sub: argparse.ArgumentParser, start: float, stop: float, step: float,
+                flags: str) -> None:
+    """Exit 2 unless ``_grid(start, stop, step)`` holds 1 to ``MAX_RADII`` points."""
+    steps = (stop - start) / step
+    if not (math.isfinite(steps) and steps >= 0.0 and round(steps) + 1 <= MAX_RADII):
+        sub.error(f"{flags} must give 1 to {MAX_RADII} grid points")
 
 
 def _step_interp(points: list[tuple[float, float]], r: float) -> float:
@@ -557,13 +564,11 @@ def main(argv=None) -> int:
             sub.error(f"--{key} is required (flag or config file)")
     if bool(cfg.get("images")) != bool(cfg.get("labels")):
         sub.error("--images and --labels must be supplied together")
-    if ns.command == "sigma" and cfg["grid_start"] > cfg["grid_stop"]:
-        sub.error("--grid-start must not exceed --grid-stop")
+    if ns.command == "sigma":  # also refuses --grid-start > --grid-stop
+        _check_grid(sub, cfg["grid_start"], cfg["grid_stop"], cfg["grid_step"],
+                    "(--grid-stop - --grid-start) / --grid-step")
     if ns.command == "certify":
-        steps = cfg["radius_max"] / cfg["radius_step"]
-        if not math.isfinite(steps) or round(steps) + 1 > MAX_RADII:
-            sub.error(f"--radius-max / --radius-step must give at most {MAX_RADII} "
-                      "curve grid points")
+        _check_grid(sub, 0.0, cfg["radius_max"], cfg["radius_step"], "--radius-max / --radius-step")
     if ns.command == "report":
         # runs are keyed by name in every report output
         named: dict[str, str] = {}

@@ -9,35 +9,28 @@ within tolerance.  The scan exits early at the first violation by default
 
 Perturbation ``j`` of grid point ``gi`` draws from
 ``stream(base_seed, PHASE_SIGMA, gi, j)``, layer by layer in order, as
-``w + sqrt(sigma2) * standard_normal(w.shape)``.  When the first layer has
-fewer rows ``h0`` than inputs ``d``, its product dominates a perturbation's
-work, so the perturbations are evaluated in blocks: the first layers of a
-block are stacked and applied to the evaluation set in one product, whose
-columns each perturbation then finishes on its own.  One wide product runs
-at about twice the rate of ``h0``-column ones.  The ``n_samples``
-perturbations are cut into the fewest equal blocks (sizes differ by at
-most one) of at most ``_BLOCK_COLS // h0`` perturbations, with a block
-count that is a multiple of the thread count, and the blocks run over
-``train.ahead`` on the threads ``train._threads`` gives for the largest
-block's normals, one per weight of each perturbation (16 x 27,488 on
-785->32^3->10): 50 perturbations of a 32-row first layer make 4 blocks of
-12 or 13 on two cores, so that no core idles on a short last block.  A
-running block holds its stacked first layers and their product, at most
-``(d + m) * _BLOCK_COLS`` floats for ``m`` evaluation examples (about 11
-MB on 2000 x 785 digits), one block per thread.  The threads pay at one
-BLAS thread; at OpenBLAS's default thread count BLAS already runs each
-wide product on every core.  When ``h0 >= d`` (the same shape test as
-``MlpModel.row_basis``) the first product is no larger than the later
-ones and the wide result only spills the cache, so each block is one
-perturbation.
+``w + sqrt(sigma2) * standard_normal(w.shape)``.  The perturbations run in
+blocks of at most ``max(1, _BLOCK_COLS // h0)`` for a first layer of ``h0``
+rows: a block's first layers are stacked and applied to the evaluation set
+in one product (about twice the rate of ``h0``-column ones on
+785->32^3->10), whose columns each perturbation then finishes on its own.
+The ``n_samples`` perturbations are cut into the fewest equal blocks (sizes
+differ by at most one) whose count is a multiple of the thread count, and
+the blocks run over ``train.ahead`` on the threads ``train._threads``
+gives for the largest block's normals, one per weight of each perturbation
+(16 x 27,488 on 785->32^3->10): 50 perturbations of a 32-row first layer
+make 4 blocks of 12 or 13 on two cores, so that no core idles on a short
+last block.  A running block, one per thread, holds its stacked first
+layers and their product: at most ``(d + m) * max(h0, _BLOCK_COLS)``
+floats for ``m`` evaluation examples, 11 MB on 2000 x 785 digits and 8.5
+MB on 2048 x 17 blobs.  The threads pay only at one BLAS thread: at
+OpenBLAS's default, BLAS runs each wide product on every core.
 
-The calling thread makes every block's generators, in draw order, so every
-``rng`` call stays on it, as in ``train`` and the margin loss, and it
-scores blocks itself as the helper threads do, one thread per core in all;
-a block draws each perturbation's first layer in place in its stacked
-array and returns its accuracies in draw order.  Neither the blocking nor
-the thread count, nor which thread scores a block, changes the draws or
-the arithmetic of any output column.
+The calling thread makes every block's generators in draw order, so every
+``rng`` call stays on it, as in ``train`` and the margin loss, and scores
+blocks itself as the helpers do, one thread per core in all.  Neither the
+blocking nor the thread count, nor which thread scores a block, changes the
+draws or the arithmetic of any output column.
 """
 
 from __future__ import annotations
@@ -89,9 +82,13 @@ class SigmaSearchConfig:
             raise ValueError("base_seed must be non-negative")
 
     def grid(self) -> np.ndarray:
-        n = int(round((self.grid_stop - self.grid_start) / self.grid_step)) + 1
-        values = self.grid_start + self.grid_step * np.arange(n)
-        return values[values <= self.grid_stop + 1e-12]
+        return _grid(self.grid_start, self.grid_stop, self.grid_step)
+
+
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """``start + i * step`` up to ``stop`` + 1e-12: the variance and radius grids."""
+    values = start + step * np.arange(int(round((stop - start) / step)) + 1)
+    return values[values <= stop + 1e-12]
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,8 @@ def select_sigma(model: MlpModel, inputs, labels, cfg: SigmaSearchConfig) -> Sig
 
     best: float | None = None
     trace: list[tuple[float, float]] = []
-    for gi, sigma2 in enumerate(cfg.grid()):
+    grid = cfg.grid()
+    for gi, sigma2 in enumerate(grid):
         accs = _perturbed_accuracies(model, X, y, float(np.sqrt(sigma2)), gi, cfg)
         drop = max(0.0, base_acc - float(accs.mean()))
         trace.append((float(sigma2), drop))
@@ -122,7 +120,7 @@ def select_sigma(model: MlpModel, inputs, labels, cfg: SigmaSearchConfig) -> Sig
         elif not cfg.full_scan:
             break
     if best is None:
-        return SigmaSearchResult(float(cfg.grid()[0]), tuple(trace), True, base_acc)
+        return SigmaSearchResult(float(grid[0]), tuple(trace), True, base_acc)
     return SigmaSearchResult(best, tuple(trace), False, base_acc)
 
 
@@ -130,9 +128,8 @@ def _perturbed_accuracies(model: MlpModel, X: np.ndarray, y: np.ndarray, sig: fl
                           gi: int, cfg: SigmaSearchConfig) -> np.ndarray:
     """Plain accuracy of each of grid point ``gi``'s ``n_samples`` perturbed
     models, in draw order (see the module docstring)."""
-    h0, d = model.layers[0].shape
     n = cfg.n_samples
-    per_block = max(1, _BLOCK_COLS // h0) if h0 < d else 1
+    per_block = max(1, _BLOCK_COLS // model.layers[0].shape[0])
     threads = _threads(min(per_block, n) * sum(w.size for w in model.layers), n)
     blocks = -(-n // per_block)
     blocks = -(-blocks // threads) * threads

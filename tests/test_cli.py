@@ -298,6 +298,19 @@ def test_certify_bad_radius_grid_usage_error(checkpoint, tmp_path, flags):
     assert not (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("radius_max, radii", [
+    ("1.1", [0.0, 0.25, 0.5, 0.75, 1.0]),  # 1.1 / 0.25 rounds to 4: no point past 1.1
+    ("1.2", [0.0, 0.25, 0.5, 0.75, 1.0]),  # rounds to 5, and 1.25 > 1.2 is dropped
+    ("0.2", [0.0]),                        # rounds to 1, and 0.25 > 0.2 is dropped
+])
+def test_certify_radius_grid_stops_at_radius_max(checkpoint, tmp_path, radius_max, radii):
+    out = tmp_path / "x"
+    assert cli.main(certify_args(checkpoint, out, **{"radius-max": radius_max,
+                                                     "max-samples": "3"})) == 0
+    lines = (out / "curve.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [repr(r) for r in radii]
+
+
 def test_certify_non_finite_checkpoint_exits_1(checkpoint, tmp_path, capsys):
     bad = tmp_path / "bad.smcert"
     bad.write_bytes(with_weight(Path(checkpoint).read_bytes(), 0, float("nan")))
@@ -700,6 +713,8 @@ _BAD_VALUES = [(cmd, flag, value) for cmd in ("train", "sigma", "certify", "boun
     ("train", "weight-decay", "-1e-4"), ("train", "noise-variance", "-0.12"),
     ("train", "alpha", "-0.1"),
     ("sigma", "grid-start", "0"), ("sigma", "grid-stop", "-1"), ("sigma", "grid-step", "0"),
+    # (0.02 - 0.01) / 1e-13 + 1 grid points would take 72 TiB; 1e300 / 1e-300 overflows
+    ("sigma", "grid-step", "1e-13"), ("sigma", "grid-step", "1e-300 --grid-stop 1e300"),
     ("sigma", "samples", "0"), ("sigma", "tolerance", "-0.01"), ("sigma", "eval-subset", "0"),
     ("certify", "sigma2", "nan"), ("certify", "sigma2", "0"), ("certify", "sigma-weight2", "-0.01"),
     ("certify", "n0", "0"), ("certify", "n", "0"), ("certify", "alpha", "1.5"),

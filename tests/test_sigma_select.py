@@ -147,7 +147,7 @@ def per_model_trace(model, X, y, cfg):
 @pytest.mark.parametrize("dims, n_samples", [
     ((11, 3), 400),          # one layer, at most 170 a block: 3, 4 or 3 blocks on 1-3 cores
     ((150, 100, 7, 3), 12),  # 100 does not divide 512, at most 5 a block: 3, 4 or 3
-    ((11, 16, 3), 5),        # h0 >= d: one perturbation per block
+    ((11, 16, 3), 5),        # h0 >= d, stacked as well: 1, 2 or 3 blocks on 1-3 cores
 ])
 def test_block_evaluation_matches_per_model_loop(monkeypatch, dims, n_samples):
     ds = data.synth_blobs(3, dims[0] - 1, 300, spread=0.3, seed=5)
@@ -191,14 +191,14 @@ def recording_blocks(monkeypatch, threaded, fail_at=None):
     ((40, 32, 3), 2, [12, 13, 12, 13], True),   # at most 16 a block: 4 equal blocks
     ((40, 32, 3), 3, [8, 8, 9, 8, 8, 9], True),
     ((40, 32, 3), 1, [12, 13, 12, 13], False),
-    ((11, 16, 3), 2, [1] * 50, False),          # h0 >= d: one per block, on the calling thread
+    ((11, 16, 3), 2, [25, 25], False),          # at most 32 a block, on the calling thread
 ])
 def test_perturbations_run_in_equal_blocks_per_core(monkeypatch, dims, cores, sizes, threaded):
     model = init_model(dims, seed=4)
     X = rng.stream(19, 1).standard_normal((60, dims[0]))
     y = np.arange(60) % 3
     monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
-    if threaded:  # a block of 16 draws 16 x 1,376 = 22,016 normals; one of 11 -> 16 -> 3, 224
+    if threaded:  # a block of 16 draws 16 x 1,376 = 22,016 normals; 11 -> 16 -> 3's, 32 x 224
         monkeypatch.setattr(train_module, "_ITEM_MIN_NORMALS", 0)
     got, threads = recording_blocks(monkeypatch, threaded)
     start = threading.active_count()

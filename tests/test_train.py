@@ -307,11 +307,12 @@ DIGITS, BLOBS = (785, 32, 32, 32, 10), (17, 32, 32, 32, 3)  # the benchmark's mo
     ("train", DIGITS, [2]),        # a batch draws 256 x 785 = 200,960 normals
     ("train", BLOBS, [1]),         # 256 x 17 = 4,352
     ("sigma", DIGITS, [2]),        # a block of 16 perturbations, 16 x 27,488
-    ("sigma", BLOBS, [1]),         # h0 >= d: one perturbation a block, 2,688
+    ("sigma", BLOBS, [1]),         # 16 perturbations a block, 16 x 2,688 = 43,008
     ("certify", DIGITS, [1, 2]),   # selection's 100 votes, then 512-vote chunks of
     ("certify", BLOBS, [1, 1]),    # 512 x 139 = 71,168 and 512 x 116 = 59,392 normals
     ("margin", DIGITS, [2]),       # 20 examples x 200 votes x 139 = 556,000
     ("margin", BLOBS, [2]),        # 20 x 200 x 116 = 464,000
+    ("sigma", (17, 128, 128, 3), [2]),  # 4 perturbations a block, 4 x 18,944 = 75,776
 ])
 def test_thread_rule_decides_each_phase_from_shapes(monkeypatch, phase, dims, want):
     # the thread count each phase hands ``ahead`` on two cores; the items
